@@ -57,11 +57,16 @@ class CommunicationSummary:
 
 
 def analyze_communications(trace: Trace) -> CommunicationSummary:
-    """Classify every traced message and measure client-compute overlap."""
+    """Classify every traced message and measure client-compute overlap.
+
+    Message counts and the makespan come from the trace's running tallies
+    (see :class:`~repro.cluster.trace.Trace`), so the messages are not
+    re-scanned.
+    """
     counts: Dict[str, int] = {}
-    for message in trace.messages:
-        kind = _PAYLOAD_TO_KIND.get(message.payload_type, f"other: {message.payload_type}")
-        counts[kind] = counts.get(kind, 0) + 1
+    for payload_type, n in trace.payload_counts().items():
+        kind = _PAYLOAD_TO_KIND.get(payload_type, f"other: {payload_type}")
+        counts[kind] = counts.get(kind, 0) + n
     clients_used = {c.pid for c in trace.computes if c.pid.startswith("client")}
     return CommunicationSummary(
         counts=counts,

@@ -4,6 +4,10 @@ Events are ordered by simulated time with a monotonically increasing sequence
 number as a tie-breaker, which makes the simulation fully deterministic: two
 events scheduled for the same instant fire in the order they were scheduled.
 
+Heap entries are ``(time, seq, event)`` tuples, so the heap compares them
+with the C tuple comparison and never calls back into Python (``seq`` is
+unique, so a comparison never reaches the event).
+
 Cancelled events are *garbage*: they stay in the heap until popped, but the
 queue tracks how many there are so that ``len(queue)`` / ``bool(queue)``
 report live events only (a ``Kernel.run`` loop or ``max_events`` budget never
@@ -16,9 +20,8 @@ cancellations, compactions, peak size) that feed the kernel's
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "EventQueue"]
 
@@ -26,10 +29,13 @@ __all__ = ["Event", "EventQueue"]
 #: heap costs more bookkeeping than the garbage it would reclaim.
 _COMPACT_MIN_GARBAGE = 64
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
-@dataclass(order=True)
+
+@dataclass(order=True, slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, and the handle that cancels it.
 
     The dataclass ordering uses ``(time, seq)`` only; the callback and its
     arguments are excluded from comparisons.
@@ -59,11 +65,10 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects."""
+    """A deterministic min-heap of ``(time, seq, event)`` entries."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self._heap: List[Tuple[float, int, Event]] = []
         self._garbage = 0  # cancelled events still sitting in the heap
         # Lifetime diagnostics (never reset; see KernelStats).
         self.pushed = 0
@@ -82,31 +87,42 @@ class EventQueue:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < 0:
             raise ValueError("cannot schedule an event at a negative time")
-        event = Event(time=float(time), seq=next(self._counter), callback=callback, args=args)
-        event.queue = self
-        heapq.heappush(self._heap, event)
-        self.pushed += 1
-        if len(self._heap) > self.peak_size:
-            self.peak_size = len(self._heap)
+        time = float(time)
+        seq = self.pushed
+        self.pushed = seq + 1
+        event = Event(time, seq, callback, args, False, self)
+        heap = self._heap
+        _heappush(heap, (time, seq, event))
+        if len(heap) > self.peak_size:
+            self.peak_size = len(heap)
         return event
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event (or ``None``)."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        """Remove and return the earliest non-cancelled event.
+
+        Returns ``None`` when no live event is queued; cancelled entries
+        left behind then stay queued until compaction or a later pop.
+        """
+        heap = self._heap
+        while len(heap) > self._garbage:
+            event = _heappop(heap)[2]
             event.queue = None
-            if event.cancelled:
-                self._garbage -= 1
-                continue
-            return event
+            if not event.cancelled:
+                return event
+            self._garbage -= 1
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).queue = None
+        heap = self._heap
+        while len(heap) > self._garbage:
+            time, _, event = heap[0]
+            if not event.cancelled:
+                return time
+            _heappop(heap)
+            event.queue = None
             self._garbage -= 1
-        return self._heap[0].time if self._heap else None
+        return None
 
     # ------------------------------------------------------------------ #
     # Garbage accounting
@@ -122,10 +138,11 @@ class EventQueue:
         """Drop cancelled entries and re-heapify (ordering is a total order
         on unique ``(time, seq)`` pairs, so compaction cannot perturb event
         order — determinism survives)."""
-        for event in self._heap:
-            if event.cancelled:
-                event.queue = None
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        for entry in heap:
+            if entry[2].cancelled:
+                entry[2].queue = None
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._garbage = 0
         self.compactions += 1

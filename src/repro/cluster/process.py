@@ -219,19 +219,19 @@ class ProcessContext:
     # -- syscall constructors ------------------------------------------- #
     def send(self, dest: str, payload: Any, tag: int = 0, size_bytes: float = 256.0) -> Send:
         """Send ``payload`` to ``dest``; yield the returned object."""
-        return Send(dest=dest, payload=payload, tag=tag, size_bytes=size_bytes)
+        return Send(dest, payload, tag, size_bytes)
 
     def recv(self, source: Any = ANY_SOURCE, tag: Any = ANY_TAG) -> Recv:
         """Receive a matching message; yield the returned object."""
-        return Recv(source=source, tag=tag)
+        return Recv(source, tag)
 
     def compute(self, work_units: float) -> Compute:
         """Perform ``work_units`` of computation; yield the returned object."""
-        return Compute(work_units=float(work_units))
+        return Compute(float(work_units))
 
     def sleep(self, seconds: float) -> Sleep:
         """Idle for ``seconds`` of simulated time; yield the returned object."""
-        return Sleep(seconds=float(seconds))
+        return Sleep(float(seconds))
 
     # -- introspection --------------------------------------------------- #
     @property

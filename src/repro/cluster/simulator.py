@@ -10,6 +10,10 @@ Determinism: all ties are broken by scheduling order (see
 :mod:`repro.cluster.events`), there is no randomness anywhere in the kernel,
 and message delivery preserves per-(sender, receiver) ordering.  Two runs of
 the same workload on the same topology produce bit-identical traces.
+
+Processes are resumed through events whose arguments carry the
+:class:`SimProcess` itself rather than its name, so a resumption needs no
+lookup.
 """
 
 from __future__ import annotations
@@ -195,7 +199,7 @@ class Kernel:
         process = SimProcess(name=name, node_name=node_name, generator=generator, started_at=self.now)
         self._processes[name] = process
         self._contexts[name] = ctx
-        self.schedule_at(self.now, self._resume, name, None)
+        self.schedule_at(self.now, self._resume, process, None)
         return process
 
     def process(self, name: str) -> SimProcess:
@@ -215,9 +219,12 @@ class Kernel:
     # ------------------------------------------------------------------ #
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time`` (>= now)."""
-        if time < self.now - 1e-12:
-            raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        return self.queue.push(max(time, self.now), callback, *args)
+        now = self.now
+        if time < now:
+            if time < now - 1e-12:
+                raise ValueError(f"cannot schedule into the past ({time} < {now})")
+            time = now
+        return self.queue.push(time, callback, *args)
 
     def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds of simulated time."""
@@ -228,9 +235,12 @@ class Kernel:
     # ------------------------------------------------------------------ #
     # Process resumption and syscall handling
     # ------------------------------------------------------------------ #
-    def _resume(self, name: str, value: Any) -> None:
-        process = self._processes[name]
-        if process.state in (ProcessState.FINISHED, ProcessState.FAILED):
+    def _resume_now(self, process: SimProcess, value: Any = None) -> None:
+        """Schedule ``process`` to resume with ``value`` at the current instant."""
+        self.queue.push(self.now, self._resume, process, value)
+
+    def _resume(self, process: SimProcess, value: Any) -> None:
+        if process.state is ProcessState.FINISHED or process.state is ProcessState.FAILED:
             return
         process.state = ProcessState.RUNNING
         try:
@@ -246,7 +256,7 @@ class Kernel:
             process.exception = exc
             process.finished_at = self.now
             self._finished_count += 1
-            raise SimulationError(f"process {name!r} raised {exc!r}") from exc
+            raise SimulationError(f"process {process.name!r} raised {exc!r}") from exc
         self._handle_syscall(process, syscall)
 
     def _handle_syscall(self, process: SimProcess, syscall: Syscall) -> None:
@@ -260,7 +270,7 @@ class Kernel:
             if syscall.seconds < 0:
                 raise SimulationError(f"negative sleep from {process.name!r}")
             process.state = ProcessState.SLEEPING
-            self.schedule_after(syscall.seconds, self._resume, process.name, None)
+            self.schedule_after(syscall.seconds, self._resume, process, None)
         else:
             raise SimulationError(
                 f"process {process.name!r} yielded a non-syscall object {syscall!r}"
@@ -268,42 +278,42 @@ class Kernel:
 
     # -- Send ------------------------------------------------------------ #
     def _do_send(self, process: SimProcess, syscall: Send) -> None:
-        if syscall.dest not in self._processes:
+        dest = self._processes.get(syscall.dest)
+        if dest is None:
             raise SimulationError(
                 f"process {process.name!r} sent a message to unknown process {syscall.dest!r}"
             )
+        # Both instants are >= now (delays are non-negative), so they go
+        # straight to the queue.
         sent_at = self.now
-        delay = self.network.transfer_delay(syscall.size_bytes)
+        network = self.network
         key = (process.name, syscall.dest)
-        delivery = max(sent_at + delay, self._last_delivery.get(key, 0.0))
+        delivery = sent_at + network.transfer_delay(syscall.size_bytes)
+        previous = self._last_delivery.get(key, 0.0)
+        if previous > delivery:
+            delivery = previous
         self._last_delivery[key] = delivery
-        self.schedule_at(delivery, self._deliver, process.name, syscall, sent_at, delivery)
+        push = self.queue.push
+        push(delivery, self._deliver, process.name, dest, syscall, sent_at, delivery)
         # The sender resumes after the (small) send overhead.
-        self.schedule_after(self.network.send_overhead_s, self._resume, process.name, None)
+        push(sent_at + network.send_overhead_s, self._resume, process, None)
 
-    def _deliver(self, source: str, syscall: Send, sent_at: float, delivery: float) -> None:
-        dest = self._processes[syscall.dest]
-        message = Message(
-            source=source,
-            tag=syscall.tag,
-            payload=syscall.payload,
-            sent_at=sent_at,
-            received_at=delivery,
-        )
+    def _deliver(
+        self, source: str, dest: SimProcess, syscall: Send, sent_at: float, delivery: float
+    ) -> None:
+        tag, payload = syscall.tag, syscall.payload
+        message = Message(source, tag, payload, sent_at, delivery)
         self.trace.record_message(
-            source=source,
-            dest=syscall.dest,
-            tag=syscall.tag,
-            payload=syscall.payload,
-            size_bytes=syscall.size_bytes,
-            sent_at=sent_at,
-            received_at=delivery,
+            source, syscall.dest, tag, payload, syscall.size_bytes, sent_at, delivery
         )
-        if dest.state is ProcessState.BLOCKED_RECV and dest.pending_recv is not None and dest.matches(
-            message, dest.pending_recv
+        pending = dest.pending_recv
+        if (
+            pending is not None
+            and dest.state is ProcessState.BLOCKED_RECV
+            and dest.matches(message, pending)
         ):
             dest.pending_recv = None
-            self.schedule_at(self.now, self._resume, dest.name, message)
+            self._resume_now(dest, message)
         else:
             dest.mailbox.append(message)
 
@@ -311,7 +321,7 @@ class Kernel:
     def _do_recv(self, process: SimProcess, syscall: Recv) -> None:
         message = process.mailbox.pop_match(syscall)
         if message is not None:
-            self.schedule_at(self.now, self._resume, process.name, message)
+            self._resume_now(process, message)
             return
         process.state = ProcessState.BLOCKED_RECV
         process.pending_recv = syscall
@@ -321,7 +331,6 @@ class Kernel:
         if syscall.work_units < 0:
             raise SimulationError(f"negative compute from {process.name!r}")
         process.state = ProcessState.COMPUTING
-        node = self._nodes[process.node_name]
         if syscall.work_units == 0:
             # A zero-work computation is still a job: record it (start == end)
             # so job counts stay faithful for trivial evaluations.
@@ -332,14 +341,10 @@ class Kernel:
                 end=self.now,
                 work=0.0,
             )
-            self.schedule_at(self.now, self._resume, process.name, None)
+            self._resume_now(process)
             return
-        node.start_computation(
-            process.name,
-            syscall.work_units,
-            on_complete=lambda name=process.name: self.schedule_at(
-                self.now, self._resume, name, None
-            ),
+        self._nodes[process.node_name].start_computation(
+            process.name, syscall.work_units, on_complete=lambda: self._resume_now(process)
         )
 
     # ------------------------------------------------------------------ #
@@ -355,29 +360,35 @@ class Kernel:
 
         Stops when the event queue empties, when ``until_time`` is reached,
         when the process named ``until_process`` finishes, or after
-        ``max_events`` events — whichever comes first.
+        ``max_events`` events — whichever comes first.  The clock never runs
+        backwards: an ``until_time`` earlier than :attr:`now` fires nothing
+        and leaves the clock where it is.
         """
-        events_fired = 0
         target = self._processes.get(until_process) if until_process else None
         if until_process is not None and target is None:
             raise ValueError(f"unknown process {until_process!r}")
+        pop = self.queue.pop
+        finished, failed = ProcessState.FINISHED, ProcessState.FAILED
+        events_fired = 0
         wall_start = _time.perf_counter()
         sim_start = self.now
         try:
-            while self.queue:
-                if target is not None and target.state in (ProcessState.FINISHED, ProcessState.FAILED):
+            while True:
+                if target is not None and (target.state is finished or target.state is failed):
                     break
-                next_time = self.queue.peek_time()
-                if next_time is None:
-                    break
-                if until_time is not None and next_time > until_time:
-                    self.now = until_time
-                    break
-                event = self.queue.pop()
+                if until_time is not None:
+                    next_time = self.queue.peek_time()
+                    if next_time is None:
+                        break
+                    if next_time > until_time:
+                        if until_time > self.now:
+                            self.now = until_time
+                        break
+                event = pop()
                 if event is None:
                     break
                 self.now = event.time
-                event.fire()
+                event.callback(*event.args)
                 events_fired += 1
                 if max_events is not None and events_fired >= max_events:
                     break

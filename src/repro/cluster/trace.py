@@ -7,6 +7,15 @@ reproduction records a full trace of the simulated run and provides queries
 that verify and quantify those patterns — see
 :mod:`repro.analysis.commpattern` for the figure-level analysis built on top
 of these records.
+
+A run records hundreds of thousands of messages, and every simulated cell
+is summarised right after it runs, so the trace also counts messages per
+payload type, and keeps the latest receive time, as it records them.
+:meth:`Trace.payload_counts` and :meth:`Trace.makespan` read those tallies
+instead of re-scanning the messages whenever every message came through
+:meth:`Trace.record_message`; on a trace whose message list was filled by
+hand they scan.  Compute queries always scan: a run has a quarter as many
+computations, and they are cheap to walk.
 """
 
 from __future__ import annotations
@@ -60,6 +69,11 @@ class Trace:
     #: :meth:`repro.cluster.simulator.Kernel.run` (None for hand-built traces).
     kernel_stats: Optional["KernelStats"] = None
 
+    def __post_init__(self) -> None:
+        # Running tallies of what record_message appended (see the module docstring).
+        self._payload_counts: Dict[str, int] = {}
+        self._last_received = 0.0
+
     # ------------------------------------------------------------------ #
     # Recording (called by the kernel)
     # ------------------------------------------------------------------ #
@@ -75,22 +89,23 @@ class Trace:
     ) -> None:
         if not self.enabled:
             return
+        payload_type = type(payload).__name__
         self.messages.append(
-            MessageRecord(
-                source=source,
-                dest=dest,
-                tag=tag,
-                payload_type=type(payload).__name__,
-                size_bytes=size_bytes,
-                sent_at=sent_at,
-                received_at=received_at,
-            )
+            MessageRecord(source, dest, tag, payload_type, size_bytes, sent_at, received_at)
         )
+        counts = self._payload_counts
+        counts[payload_type] = counts.get(payload_type, 0) + 1
+        if received_at > self._last_received:
+            self._last_received = received_at
 
     def record_compute(self, pid: str, node: str, start: float, end: float, work: float) -> None:
         if not self.enabled:
             return
-        self.computes.append(ComputeRecord(pid=pid, node=node, start=start, end=end, work=work))
+        self.computes.append(ComputeRecord(pid, node, start, end, work))
+
+    def _messages_tallied(self) -> bool:
+        """Whether the tallies cover the message list (it was not filled by hand)."""
+        return sum(self._payload_counts.values()) == len(self.messages)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -106,6 +121,15 @@ class Trace:
     def messages_by_type(self, payload_type: str) -> List[MessageRecord]:
         """Messages carrying a payload of the given class name."""
         return [m for m in self.messages if m.payload_type == payload_type]
+
+    def payload_counts(self) -> Dict[str, int]:
+        """Message counts per payload class name, in order of first appearance."""
+        if self._messages_tallied():
+            return dict(self._payload_counts)
+        counts: Dict[str, int] = {}
+        for m in self.messages:
+            counts[m.payload_type] = counts.get(m.payload_type, 0) + 1
+        return counts
 
     def computes_by_process(self, pid_prefix: str) -> List[ComputeRecord]:
         """Computations of every process whose name starts with ``pid_prefix``."""
@@ -124,7 +148,9 @@ class Trace:
         last = 0.0
         if self.computes:
             last = max(last, max(c.end for c in self.computes))
-        if self.messages:
+        if self._messages_tallied():
+            last = max(last, self._last_received)
+        elif self.messages:
             last = max(last, max(m.received_at for m in self.messages))
         return last
 
@@ -169,3 +195,5 @@ class Trace:
         """Drop every record (reuse the trace object for another run)."""
         self.messages.clear()
         self.computes.clear()
+        self._payload_counts.clear()
+        self._last_received = 0.0

@@ -145,7 +145,10 @@ class GameState(abc.ABC):
 
         Used by the Last-Minute dispatcher of the paper to estimate the
         *expected remaining computation time* of a job.  Domains that do not
-        track it may fall back on 0 (every job then looks equally long).
+        track it may fall back on 0 (every job then looks equally long).  A
+        domain that tracks it adds exactly one per move played: the simulated
+        cluster sizes a job's message from its parent position on that basis
+        (:func:`repro.parallel.messages.estimate_child_size`).
         """
         return 0
 

@@ -13,6 +13,14 @@ sweep (1, 4, 8, ... 64 clients) or a Round-Robin vs Last-Minute comparison
 executes every search exactly once and replays the cached results for every
 other configuration, so the expensive part of the benchmark harness is paid
 once per workload.
+
+Simulated clients receive a job as its *parent* position plus the candidate
+move (see :class:`~repro.parallel.messages.ClientJob`) and hand both to
+:meth:`JobExecutor.execute_move`.  The job's own position,
+``parent.play(move)``, is built only when a search actually runs: a
+:class:`CachingJobExecutor` hit never builds it, which in a client sweep is
+most jobs.  Every executor's :meth:`~JobExecutor.execute` still receives a
+real :class:`~repro.games.base.GameState`.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from repro.core.result import SearchResult
 from repro.core.sample import sample
 from repro.games.base import GameState, Move
 from repro.prng import SeedSequence
+
+#: ``move`` of :meth:`CachingJobExecutor.execute` when the job's own position is given
+_NO_MOVE: Move = object()
 
 __all__ = [
     "JobOutcome",
@@ -57,8 +68,18 @@ class JobExecutor:
     """Interface: execute a client job and report its cost."""
 
     def execute(self, position: GameState, level: int, seeds: SeedSequence) -> JobOutcome:
-        """Run the search and return its :class:`JobOutcome`."""
+        """Run the search from ``position`` and return its :class:`JobOutcome`."""
         raise NotImplementedError
+
+    def execute_move(
+        self, parent: GameState, move: Move, level: int, seeds: SeedSequence
+    ) -> JobOutcome:
+        """Run the job whose position is ``parent.play(move)``.
+
+        This is what the simulated clients call.  The default builds the
+        position and runs :meth:`execute` on it; ``parent`` is never mutated.
+        """
+        return self.execute(parent.play(move), level, seeds)
 
 
 class DirectJobExecutor(JobExecutor):
@@ -131,16 +152,38 @@ class CachingJobExecutor(JobExecutor):
     def _key(self, level: int, seeds: SeedSequence) -> Tuple:
         return (seeds.master_seed, seeds.path, level)
 
-    def execute(self, position: GameState, level: int, seeds: SeedSequence) -> JobOutcome:
+    def execute(
+        self,
+        position: GameState,
+        level: int,
+        seeds: SeedSequence,
+        move: Move = _NO_MOVE,
+    ) -> JobOutcome:
+        """The cached outcome of the job, running it on the inner executor on a miss.
+
+        With ``move``, ``position`` is the job's parent and the search runs
+        from ``position.play(move)``, which only a miss builds.  The
+        parameter exists only for :meth:`execute_move`: routing every
+        simulated job through this method keeps it the one place that sees
+        each job, hit or miss, which ``perfbench``'s job counter patches.
+        """
         key = self._key(level, seeds)
         cached = self._cache.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        outcome = self.inner.execute(position, level, seeds)
+        if move is _NO_MOVE:
+            outcome = self.inner.execute(position, level, seeds)
+        else:
+            outcome = self.inner.execute_move(position, move, level, seeds)
         self._cache[key] = outcome
         self.misses += 1
         return outcome
+
+    def execute_move(
+        self, parent: GameState, move: Move, level: int, seeds: SeedSequence
+    ) -> JobOutcome:
+        return self.execute(parent, level, seeds, move)
 
     def cache_size(self) -> int:
         """Number of distinct jobs cached so far."""

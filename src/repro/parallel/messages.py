@@ -38,6 +38,7 @@ __all__ = [
     "ClientFree",
     "Shutdown",
     "estimate_state_size",
+    "estimate_child_size",
 ]
 
 #: Tag for new work assignments (root→median, median→client).
@@ -59,7 +60,24 @@ def estimate_state_size(state: GameState) -> float:
     depends on this value, and for the paper's workloads that delay is
     latency-dominated, so a rough estimate is sufficient.
     """
-    return 512.0 + 16.0 * state.moves_played()
+    return _size_after(state.moves_played())
+
+
+def estimate_child_size(parent: GameState) -> float:
+    """``estimate_state_size(parent.play(move))``, without building the child.
+
+    A move adds one to :meth:`~repro.games.base.GameState.moves_played` in
+    every domain that tracks it; a domain that keeps the base-class default
+    reports 0 whatever has been played.
+    """
+    played = parent.moves_played()
+    if type(parent).moves_played is not GameState.moves_played:
+        played += 1
+    return _size_after(played)
+
+
+def _size_after(moves_played: int) -> float:
+    return 512.0 + 16.0 * moves_played
 
 
 @dataclass(frozen=True)
@@ -108,15 +126,18 @@ class DispatchReply:
 
 @dataclass(frozen=True)
 class ClientJob:
-    """Median → client: run a nested rollout from ``position`` (comm. b).
+    """Median → client: run a nested rollout from ``parent.play(move)`` (comm. b).
 
-    The position already contains the median's candidate move (the paper's
-    ``p = play(position, m)``); ``move`` is that candidate move, echoed back
-    in the result so the median can splice sequences without bookkeeping.
+    The job ships the median's position and its candidate move rather than
+    the paper's ``p = play(position, m)``: the client's executor builds ``p``
+    only when it actually runs the search, so a job answered from a cache
+    never pays for it.  The median never mutates a position it has shipped.
+    ``move`` is echoed back in the result so the median can splice sequences
+    without bookkeeping.
     """
 
     job_id: Tuple
-    position: GameState
+    parent: GameState
     move: Move
     level: int
     seeds: SeedSequence

@@ -9,9 +9,11 @@ functions as follows:
   and waits for all their answers;
 * a **median process** receives such a position and plays a game one level
   below; at each of *its* steps it asks the dispatcher for a client for every
-  candidate move, ships the resulting positions to those clients, collects
+  candidate move, ships its position and the move to that client, collects
   the scores, plays the best move and finally reports the game's result back
-  to the root;
+  to the root.  The client's executor builds the position after the move
+  only if it actually runs the search, so the median never mutates a
+  position it has shipped: it advances with ``position = position.play(m)``;
 * a **client process** receives positions and runs a nested rollout at the
   predefined level (``config.client_level``), optionally notifying the
   dispatcher that it is free again (Last-Minute algorithm) before returning
@@ -45,6 +47,7 @@ from repro.parallel.messages import (
     MedianResult,
     MedianTask,
     Shutdown,
+    estimate_child_size,
     estimate_state_size,
 )
 from repro.prng import SeedSequence
@@ -175,7 +178,9 @@ def _median_play_game(
     client chosen by the dispatcher.  Returns
     ``(score, moves, client_work_units)``.
     """
-    position = start.copy()
+    # Shipped jobs hold ``position`` until a client runs them: it is never
+    # mutated, each step replaces it with a new object.
+    position = start
     best = BestTracker()
     played: List[Move] = []
     step = 0
@@ -185,25 +190,26 @@ def _median_play_game(
         evaluations = candidate_evaluations(position, level, step, seeds)
         if not evaluations:
             break
+        moves_played = position.moves_played()
+        job_size = estimate_child_size(position)
         pending: Dict[Tuple, int] = {}
         for i, move, child_seeds in evaluations:
             # -- communication (b): ask the dispatcher for a client...
-            request = DispatchRequest(median=ctx.name, moves_played=position.moves_played())
+            request = DispatchRequest(median=ctx.name, moves_played=moves_played)
             yield ctx.send(dispatcher, request, tag=TAG_DISPATCH, size_bytes=SMALL_MESSAGE_BYTES)
             reply_msg = yield ctx.recv(source=dispatcher, tag=TAG_DISPATCH)
             reply: DispatchReply = reply_msg.payload
-            # ...then ship it the position to evaluate.
-            child = position.play(move)
+            # ...then ship it the position and the move to evaluate.
             job_id = (ctx.name, step, i)
             job = ClientJob(
                 job_id=job_id,
-                position=child,
+                parent=position,
                 move=move,
                 level=level - 1,
                 seeds=child_seeds,
                 reply_to=ctx.name,
             )
-            yield ctx.send(reply.client, job, tag=TAG_TASK, size_bytes=estimate_state_size(child))
+            yield ctx.send(reply.client, job, tag=TAG_TASK, size_bytes=job_size)
             pending[job_id] = i
         yield ctx.compute(len(evaluations))
 
@@ -226,7 +232,7 @@ def _median_play_game(
         else:
             best_index = max(sorted(answers), key=lambda i: answers[i].score)
             chosen = answers[best_index].move
-        position.apply(chosen)
+        position = position.play(chosen)
         yield ctx.compute(1)
         played.append(chosen)
         step += 1
@@ -287,7 +293,7 @@ def client_process(
         if isinstance(payload, Shutdown):
             return None
         job: ClientJob = payload
-        outcome = executor.execute(job.position, job.level, job.seeds)
+        outcome = executor.execute_move(job.parent, job.move, job.level, job.seeds)
         # The search really ran (outcome is exact); its *duration* is simulated
         # by the node executing this many work units at its current share.
         yield ctx.compute(outcome.work_units)
