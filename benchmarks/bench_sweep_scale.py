@@ -29,7 +29,8 @@ from pathlib import Path
 
 from conftest import write_result
 from repro.api import Engine, SearchSpec
-from repro.lab import ResultStore, SweepSpec, close_shared_sweep_pool
+from repro.lab import ResultStore, SweepSpec
+from repro.parallel.pool import close_shared_pool
 
 #: A CPU-bound grid: 8 independent level-2 Weak Schur searches (~0.3s each
 #: serially on the reference container), varied only by seed so every cell
@@ -81,7 +82,7 @@ def test_sweep_scale_process_pool(results_dir, tmp_path):
     by_workers = {}
     try:
         for n_workers in WORKER_COUNTS:
-            close_shared_sweep_pool()  # time each pool size from a cold start
+            close_shared_pool()  # time each pool size from a cold start
             store = ResultStore(tmp_path / f"proc-{n_workers}")
             t0 = time.perf_counter()
             engine.run_many(
@@ -97,7 +98,7 @@ def test_sweep_scale_process_pool(results_dir, tmp_path):
                 "speedup_vs_serial": round(serial_wall / wall, 3),
             }
     finally:
-        close_shared_sweep_pool()
+        close_shared_pool()
 
     cpu_count = os.cpu_count() or 1
     if cpu_count >= 4:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -57,6 +56,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Generator,
     Iterable,
     Iterator,
     List,
@@ -677,11 +677,6 @@ class RunEvent:
 #: What the batch layer accepts: a SweepSpec, or any iterable of specs/dicts.
 BatchInput = Union["SweepSpec", Iterable[Union[SearchSpec, Mapping[str, Any]]]]
 
-#: Sentinel returned by pooled cells that observed the cancel flag before
-#: starting; such cells emit no terminal event (mirrors the inline early-out).
-_CELL_SKIPPED = object()
-
-
 class Engine:
     """Executes :class:`SearchSpec` scenarios; shares caches across runs.
 
@@ -849,6 +844,13 @@ class Engine:
     ) -> Iterator[RunEvent]:
         """Execute a batch lazily, yielding a :class:`RunEvent` stream.
 
+        Cache hits resolve first: every cell whose record is in ``store``
+        yields its ``"cached"`` event before any cell starts.  The remaining
+        cells then run on one of three runners — inline, a thread pool or
+        the worker-process pool — and this one loop turns what they report
+        into ``"started"``/``"completed"``/``"failed"`` events, writes the
+        store and applies the error policy, whichever runner it is.
+
         Parameters
         ----------
         specs:
@@ -857,27 +859,33 @@ class Engine:
         store:
             Optional :class:`~repro.lab.store.ResultStore`: cells whose key
             is already present resolve to ``"cached"`` events without
-            executing any search, and completed cells are persisted, so an
-            interrupted batch resumes for free.
+            executing any search, and completed cells are persisted (by the
+            consuming thread, exactly once), so an interrupted batch resumes
+            for free.
         error_policy:
             ``"raise"`` (default) re-raises a cell's exception after
-            emitting its ``"failed"`` event; ``"skip"`` keeps going.
+            emitting its ``"failed"`` event and letting cells already
+            running finish; ``"skip"`` keeps going.
         max_workers:
-            With ``executor="thread"``: ``None``/``1`` runs cells inline,
-            ``> 1`` runs independent cells on a thread pool (events then
-            arrive in completion order).  With ``executor="process"``: the
-            worker-*process* count (``None`` = ``os.cpu_count()``).
-            Simulated time is unaffected by either pool — only wall time is.
+            With ``executor="thread"``: ``None``/``1`` runs cells inline, in
+            cell order, ``> 1`` runs independent cells on a thread pool
+            (events then arrive in completion order).  With
+            ``executor="process"``: the worker-*process* count (``None`` =
+            ``os.cpu_count()``).  Simulated time is unaffected by either
+            pool — only wall time is.
         executor:
             ``"thread"`` (default) keeps the historical behaviour;
-            ``"process"`` ships cache-missing cells to the persistent
-            worker-process pool (:mod:`repro.lab.procpool`), where each
-            worker runs them through its own :class:`Engine` — CPU-bound
-            cells then scale past the GIL.  Cache hits still short-circuit
-            in the parent and results are written to the store exactly once,
-            by the parent.  An engine constructed with a custom
-            ``executor=`` :class:`~repro.parallel.jobs.JobExecutor` cannot
-            use the process executor (executors don't cross processes).
+            ``"process"`` ships cache-missing cells, ``chunk_size`` per task
+            frame, to the shared worker-process pool
+            (:func:`repro.parallel.pool.shared_pool`), where each worker
+            runs them through its own :class:`Engine` — CPU-bound cells then
+            scale past the GIL.  ``"started"`` is emitted as a chunk fills,
+            events arrive in completion order, and worker failures come back
+            as :class:`~repro.lab.procpool.RemoteCellError`.  The stream
+            holds the pool (one batch at a time) until it ends.  An engine
+            constructed with a custom ``executor=``
+            :class:`~repro.parallel.jobs.JobExecutor` cannot use the process
+            executor (executors don't cross processes).
         chunk_size:
             Cells per IPC round under ``executor="process"`` (``None`` =
             :func:`repro.lab.procpool.auto_chunk_size`); ignored by the
@@ -885,11 +893,11 @@ class Engine:
         cancel:
             A :class:`threading.Event` or zero-argument callable; when set,
             no further cell starts (cells already running finish and their
-            events are delivered).  The pooled paths honour this promptly
-            too: cells already submitted to a pool but not yet running
-            re-check the flag when their turn comes and are skipped without
-            executing (they emit no terminal event, so the stream may end
-            with ``done < total``, exactly like the inline path).
+            events are delivered).  Cells already handed to a pool but not
+            yet running re-check the flag when their turn comes and are
+            skipped without executing (they emit no terminal event, so the
+            stream may end with ``done < total``).  Cache hits are not
+            cells that start: they are reported even when the flag is set.
         refresh:
             Skip the store lookup (re-execute every cell) while still
             persisting results — a forced re-run against the same store.
@@ -916,182 +924,139 @@ class Engine:
         batch = [self._storable_spec(spec) for spec in self._expand_batch(specs)]
         total = len(batch)
         store = self._store_for(store)
-        if executor == "process":
-            yield from self._stream_process(
-                batch, total, store, error_policy, max_workers, cancelled, refresh,
-                chunk_size,
-            )
-            return
-        if max_workers is not None and max_workers > 1:
-            yield from self._stream_pooled(
-                batch, total, store, error_policy, max_workers, cancelled, refresh
-            )
-            return
-        done = 0
-        for index, spec in enumerate(batch):
-            if cancelled():
-                return
-            if store is not None and not refresh:
-                report = store.get(spec)
-                if report is not None:
-                    done += 1
-                    _CELL_EVENTS["cached"].inc()
-                    yield RunEvent("cached", index, total, spec, report=report, done=done)
-                    continue
-            _CELL_EVENTS["started"].inc()
-            yield RunEvent("started", index, total, spec, done=done)
-            try:
-                report = self.run(spec)
-            except Exception as exc:
-                done += 1
-                _CELL_EVENTS["failed"].inc()
-                yield RunEvent("failed", index, total, spec, error=exc, done=done)
-                if error_policy == "raise":
-                    raise
-                continue
-            if store is not None:
-                store.put(spec, report)
-            done += 1
-            _CELL_EVENTS["completed"].inc()
-            yield RunEvent("completed", index, total, spec, report=report, done=done)
-
-    def _stream_pooled(
-        self,
-        batch: List[SearchSpec],
-        total: int,
-        store: Optional["ResultStore"],
-        error_policy: str,
-        max_workers: int,
-        cancelled: Callable[[], bool],
-        refresh: bool,
-    ) -> Iterator[RunEvent]:
-        """Worker-pool variant of :meth:`stream` (completion-order events).
-
-        Cache hits resolve up front; remaining cells are submitted to a
-        thread pool (``"started"`` is emitted at submission).  Store writes
-        stay on the consumer thread, so a store never sees concurrent
-        writers from one batch.  Each pooled cell re-checks ``cancelled``
-        the moment a worker picks it up, so setting the flag stops the
-        batch after at most ``max_workers`` in-flight cells — submitted
-        cells whose turn comes later are skipped without executing.  With
-        ``error_policy="raise"`` the first failure cancels not-yet-started
-        cells, drains the running ones, and re-raises.
-        """
         done = 0
         pending: List[Tuple[int, SearchSpec]] = []
         for index, spec in enumerate(batch):
-            if store is not None and not refresh:
-                report = store.get(spec)
-                if report is not None:
-                    done += 1
-                    _CELL_EVENTS["cached"].inc()
-                    yield RunEvent("cached", index, total, spec, report=report, done=done)
-                    continue
-            pending.append((index, spec))
+            report = None if store is None or refresh else store.get(spec)
+            if report is None:
+                pending.append((index, spec))
+                continue
+            done += 1
+            _CELL_EVENTS["cached"].inc()
+            yield RunEvent("cached", index, total, spec, report=report, done=done)
+
         first_error: Optional[BaseException] = None
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {}
-            for index, spec in pending:
-                if cancelled():
-                    break
-                _CELL_EVENTS["started"].inc()
-                yield RunEvent("started", index, total, spec, done=done)
-                futures[pool.submit(self._run_unless_cancelled, spec, cancelled)] = (index, spec)
-            for future in as_completed(futures):
-                index, spec = futures[future]
-                if future.cancelled():  # pragma: no cover - cancel() raced a start
+
+        def stop() -> bool:
+            return first_error is not None or cancelled()
+
+        if executor == "process":
+            cells = self._process_cells(pending, stop, max_workers, chunk_size)
+        elif max_workers is not None and max_workers > 1:
+            cells = self._thread_cells(pending, stop, max_workers)
+        else:
+            cells = self._inline_cells(pending, stop)
+        try:
+            for index, kind, result in cells:
+                spec = batch[index]
+                if kind == "started":
+                    _CELL_EVENTS["started"].inc()
+                    yield RunEvent("started", index, total, spec, done=done)
                     continue
-                try:
-                    report = future.result()
-                except Exception as exc:
-                    done += 1
+                done += 1
+                if kind == "failed":
                     _CELL_EVENTS["failed"].inc()
-                    yield RunEvent("failed", index, total, spec, error=exc, done=done)
+                    yield RunEvent("failed", index, total, spec, error=result, done=done)
                     if error_policy == "raise" and first_error is None:
-                        first_error = exc
-                        for other in futures:
-                            other.cancel()
-                    continue
-                if report is _CELL_SKIPPED:
+                        first_error = result
                     continue
                 if store is not None:
-                    store.put(spec, report)
-                done += 1
+                    store.put(spec, result)
                 _CELL_EVENTS["completed"].inc()
-                yield RunEvent("completed", index, total, spec, report=report, done=done)
+                yield RunEvent("completed", index, total, spec, report=result, done=done)
+        finally:
+            # Release a runner the consumer abandoned: its pool, its batch.
+            cells.close()
         if first_error is not None:
             raise first_error
 
-    def _run_unless_cancelled(self, spec: SearchSpec, cancelled: Callable[[], bool]) -> Any:
-        """Pool task wrapper: skip cells whose cancel flag was set before they started."""
-        if cancelled():
-            return _CELL_SKIPPED
-        return self.run(spec)
+    # Runners: each takes the cache-missing ``(index, spec)`` cells and a
+    # ``stop`` predicate, and yields ``(index, "started", None)`` before a
+    # cell runs, then ``(index, "completed", report)`` or
+    # ``(index, "failed", exception)``.  A cell skipped because ``stop``
+    # turned true yields nothing more.
+    def _run_cell(self, index: int, spec: SearchSpec) -> Tuple[int, str, Any]:
+        """Run one cell: ``(index, "completed", report)`` or ``(index, "failed", exc)``."""
+        try:
+            return index, "completed", self.run(spec)
+        except Exception as exc:
+            return index, "failed", exc
 
-    def _stream_process(
+    def _inline_cells(
+        self, pending: List[Tuple[int, SearchSpec]], stop: Callable[[], bool]
+    ) -> Generator[Tuple[int, str, Any], None, None]:
+        """Run cells one at a time on the consuming thread, in cell order."""
+        for index, spec in pending:
+            if stop():
+                return
+            yield index, "started", None
+            yield self._run_cell(index, spec)
+
+    def _thread_cells(
         self,
-        batch: List[SearchSpec],
-        total: int,
-        store: Optional["ResultStore"],
-        error_policy: str,
-        max_workers: Optional[int],
-        cancelled: Callable[[], bool],
-        refresh: bool,
-        chunk_size: Optional[int],
-    ) -> Iterator[RunEvent]:
-        """Worker-*process* variant of :meth:`stream` (completion-order events).
+        pending: List[Tuple[int, SearchSpec]],
+        stop: Callable[[], bool],
+        max_workers: int,
+    ) -> Generator[Tuple[int, str, Any], None, None]:
+        """Run cells on a thread pool, reporting them in completion order.
 
-        Cache hits resolve up front in the parent; remaining cells are
-        serialised (``spec.to_dict()``) and shipped to the shared
-        :class:`~repro.lab.procpool.SweepWorkerPool` in chunks of
-        ``chunk_size`` (``"started"`` is emitted at submission, mirroring
-        the thread pool).  Workers return report dicts; the *parent* decodes
-        them, emits the terminal events, and writes the store — one writer
-        per batch, so the event contract and the results-written-once
-        guarantee are identical to the thread path.  Failures come back as
-        :class:`~repro.lab.procpool.RemoteCellError`; with
-        ``error_policy="raise"`` the first one cancels the rest of the
-        batch, the stream drains fully, then re-raises.  Child obs
-        snapshots are folded into the parent registry per chunk.
+        Each cell re-checks ``stop`` when a thread picks it up, so setting
+        the flag stops the batch after at most ``max_workers`` in-flight
+        cells — queued cells are skipped without executing.
         """
-        from repro.lab.procpool import (
-            RemoteCellError,
-            auto_chunk_size,
-            shared_sweep_pool,
-        )
 
-        done = 0
-        pending: List[Tuple[int, SearchSpec]] = []
-        for index, spec in enumerate(batch):
-            if store is not None and not refresh:
-                report = store.get(spec)
-                if report is not None:
-                    done += 1
-                    _CELL_EVENTS["cached"].inc()
-                    yield RunEvent("cached", index, total, spec, report=report, done=done)
-                    continue
-            pending.append((index, spec))
+        def run(index: int, spec: SearchSpec) -> Optional[Tuple[int, str, Any]]:
+            return None if stop() else self._run_cell(index, spec)
+
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            futures = []
+            for index, spec in pending:
+                if stop():
+                    break
+                yield index, "started", None
+                futures.append(pool.submit(run, index, spec))
+            for future in as_completed(futures):
+                outcome = future.result()
+                if outcome is not None:
+                    yield outcome
+
+    def _process_cells(
+        self,
+        pending: List[Tuple[int, SearchSpec]],
+        stop: Callable[[], bool],
+        max_workers: Optional[int],
+        chunk_size: Optional[int],
+    ) -> Generator[Tuple[int, str, Any], None, None]:
+        """Ship cells to the shared worker-process pool, reporting them in completion order.
+
+        Cells travel as ``spec.to_dict()`` in chunks of ``chunk_size``;
+        ``started`` is yielded for each cell as its chunk fills, and the
+        full chunk is submitted at once.  Workers send back report dicts,
+        one frame per cell, and a metrics snapshot per chunk that is folded
+        into this process's registry.  Once ``stop`` turns true the batch is
+        cancelled: cells not yet running in a worker are skipped, and the
+        batch drains before the pool is released.
+        """
+        from repro.lab.procpool import RemoteCellError, auto_chunk_size
+        from repro.parallel.pool import shared_pool
+
         if not pending:
             return
-        n_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        pool = shared_sweep_pool(n_workers)
+        pool = shared_pool(max_workers)
         size = chunk_size if chunk_size is not None else auto_chunk_size(
             len(pending), pool.n_workers
         )
         obs_on = _obs_enabled()
-        specs_by_index = dict(pending)
-        first_error: Optional[BaseException] = None
+        outstanding_cells: set = set()
+        outstanding_chunks = 0
         batch_id = pool.begin_batch()
         try:
-            outstanding_cells: set = set()
-            outstanding_chunks = 0
             for start in range(0, len(pending), size):
-                if cancelled():
+                if stop():
                     break
                 chunk = pending[start : start + size]
-                for index, spec in chunk:
-                    _CELL_EVENTS["started"].inc()
-                    yield RunEvent("started", index, total, spec, done=done)
+                for index, _ in chunk:
+                    yield index, "started", None
                     outstanding_cells.add(index)
                 pool.submit_chunk(
                     batch_id,
@@ -1102,7 +1067,7 @@ class Engine:
                 outstanding_chunks += 1
             propagated = False
             while outstanding_cells or outstanding_chunks:
-                if not propagated and (cancelled() or first_error is not None):
+                if not propagated and stop():
                     pool.cancel_batch()
                     propagated = True
                 frame = pool.next_frame(batch_id)
@@ -1115,32 +1080,16 @@ class Engine:
                     continue
                 _, _, index, status, payload = frame
                 outstanding_cells.discard(index)
-                spec = specs_by_index[index]
-                if status == "skip":
-                    continue  # cancelled before starting: no terminal event
-                if status == "err":
-                    error: BaseException = RemoteCellError(payload)
-                    done += 1
-                    _CELL_EVENTS["failed"].inc()
-                    yield RunEvent("failed", index, total, spec, error=error, done=done)
-                    if error_policy == "raise" and first_error is None:
-                        first_error = error
-                    continue
-                report = RunReport.from_dict(payload)
-                if store is not None:
-                    store.put(spec, report)
-                done += 1
-                _CELL_EVENTS["completed"].inc()
-                yield RunEvent("completed", index, total, spec, report=report, done=done)
+                if status == "ok":
+                    yield index, "completed", RunReport.from_dict(payload)
+                elif status == "err":
+                    yield index, "failed", RemoteCellError(payload)
         finally:
-            # An abandoned generator (consumer stopped iterating) leaves cells
-            # in flight; cancel them so they drain as skips — their stale
-            # frames are dropped by the next batch's next_frame guard.
+            # An abandoned stream leaves cells in flight; cancel them so they
+            # drain as skips — the next batch's next_frame drops their frames.
             if outstanding_cells or outstanding_chunks:
                 pool.cancel_batch()
             pool.end_batch()
-        if first_error is not None:
-            raise first_error
 
     def run_many(
         self,

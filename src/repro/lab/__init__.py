@@ -11,9 +11,12 @@ is what every table of the paper actually is:
   and interrupted sweeps resume for free;
 * :mod:`repro.lab.export` — flat JSON/CSV rows that
   :func:`repro.analysis.tables.pivot_table` renders directly;
-* :mod:`repro.lab.procpool` — the persistent worker-process pool behind
-  ``Engine.stream(executor="process")`` / ``repro sweep --processes``, so
-  CPU-bound grids scale past the GIL (see ``docs/SWEEPS.md``).
+* :mod:`repro.lab.procpool` — the sweep side of
+  ``Engine.stream(executor="process")`` / ``repro sweep --processes``:
+  chunk sizing, remote cell errors and the worker-side cell handler, run on
+  the library's one worker-process pool
+  (:class:`repro.parallel.pool.PersistentWorkerPool`), so CPU-bound grids
+  scale past the GIL (see ``docs/SWEEPS.md``).
 
 Execution lives on the engine: ``Engine.run_many(sweep, store=...)`` and the
 streaming ``Engine.stream(...)`` event iterator (see :mod:`repro.api`).
@@ -28,13 +31,7 @@ streaming ``Engine.stream(...)`` event iterator (see :mod:`repro.api`).
 """
 
 from repro.lab.keys import CODE_VERSION, spec_key
-from repro.lab.procpool import (
-    RemoteCellError,
-    SweepWorkerPool,
-    auto_chunk_size,
-    close_shared_sweep_pool,
-    shared_sweep_pool,
-)
+from repro.lab.procpool import RemoteCellError, SweepWorkerPool, auto_chunk_size
 from repro.lab.sweep import SweepCell, SweepSpec
 from repro.lab.store import ResultStore, StoreRecord
 from repro.lab.export import (
@@ -56,8 +53,6 @@ __all__ = [
     "SweepWorkerPool",
     "RemoteCellError",
     "auto_chunk_size",
-    "shared_sweep_pool",
-    "close_shared_sweep_pool",
     "ROW_FIELDS",
     "row_from_report",
     "rows_from_reports",

@@ -1,69 +1,60 @@
-"""A persistent worker-*process* pool executing sweep cells GIL-free.
+"""The sweep-specific pieces of the process executor.
 
-:meth:`repro.api.Engine.stream` can run independent cells on a thread pool,
-but CPU-bound cells (pure-Python simulator runs) serialize on the GIL: a
-16-core box still sweeps at ~1 core.  This module is the process-backed
-execution substrate behind ``Engine.stream(..., executor="process")`` /
-``repro sweep --processes N``, built on the :mod:`repro.parallel.pool`
-idiom — daemon workers spawned once and reused across batches, compact wire
-frames, error frames instead of deadlocks, a process-wide shared pool with
-atexit cleanup:
+``Engine.stream(..., executor="process")`` / ``repro sweep --processes N``
+run CPU-bound sweep cells GIL-free on the library's one worker-process pool,
+:class:`repro.parallel.pool.PersistentWorkerPool` (also importable here as
+:data:`SweepWorkerPool`), which owns the processes, the batch lock, the
+liveness check and the shared singleton.  What is particular to sweeps
+lives here:
 
 * **Cells travel as spec dicts.** A :class:`~repro.api.SearchSpec` is a
   complete, JSON-round-trippable description of one cell, so the wire form
   is its ``to_dict()`` — no game state, executor or engine object ever
-  crosses the process boundary.  Each worker keeps a per-network
-  :class:`~repro.api.Engine` alive across chunks, so the engine's
-  per-workload job caches persist for the whole sweep exactly as they do in
-  the parent's inline path.
+  crosses the process boundary.  :func:`run_cells`, the worker side of a
+  ``cells`` task frame, keeps one :class:`~repro.api.Engine` per network
+  model alive across chunks, so the engine's per-workload job caches
+  persist for the whole sweep exactly as they do in the parent's inline
+  path.
 * **Chunked dispatch.** Small cells (sub-100 ms kernel runs) would drown in
   per-cell IPC; cells are batched ``chunk_size`` per task frame
   (:func:`auto_chunk_size` picks a default from the batch and pool size).
   Results still stream back one frame per *cell*, so parent-side progress
   events stay live whatever the chunk size.
-* **Cooperative cancellation.** Workers check a shared
+* **Cooperative cancellation.** Workers check the pool's shared
   ``multiprocessing.Event`` before every cell; cancelled cells report a
   ``skip`` frame (no terminal :class:`~repro.api.RunEvent` — exactly the
   inline path's early-out) and the chunk keeps draining, so the pool is
   reusable the moment the batch ends.
-* **Telemetry merge.** When :mod:`repro.obs` is enabled, each worker resets
-  its (forked) registry at startup, snapshots it after every chunk and ships
-  the snapshot home; the parent folds it into its own registry via
+* **Telemetry merge.** When :mod:`repro.obs` is enabled, each worker
+  snapshots its registry after every chunk and ships the snapshot home; the
+  parent folds it into its own registry via
   :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, so
   ``repro stats`` counts cells run in children.
+* **Remote errors.** A cell that raised comes home as
+  :class:`RemoteCellError`.
 
 The store is deliberately **not** given to the workers: cache hits
 short-circuit in the parent, misses dispatch, and the parent persists each
 completed report exactly once from the event-consuming thread (see
-``Engine._stream_process``).  Two *separate* sweep processes sharing one
-store are serialised by :class:`repro.lab.store.ResultStore`'s inter-process
-file lock instead.
+``Engine.stream``).  Two *separate* sweep processes sharing one store are
+serialised by :class:`repro.lab.store.ResultStore`'s inter-process file lock
+instead.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-import os
-import queue as _queue
-import threading
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
-__all__ = [
-    "SweepWorkerPool",
-    "RemoteCellError",
-    "auto_chunk_size",
-    "shared_sweep_pool",
-    "close_shared_sweep_pool",
-]
+from repro.parallel.pool import PersistentWorkerPool
+
+__all__ = ["SweepWorkerPool", "RemoteCellError", "auto_chunk_size", "run_cells"]
+
+#: The pool sweeps run on: the library's one worker-process pool.
+SweepWorkerPool = PersistentWorkerPool
 
 #: Upper bound on the auto-chosen chunk size: past this, a straggler chunk
 #: can idle the rest of the pool for no further IPC savings.
 _MAX_AUTO_CHUNK = 16
-
-#: Seconds without any result frame before the pool declares itself wedged.
-_FRAME_TIMEOUT_S = 600.0
 
 
 class RemoteCellError(RuntimeError):
@@ -88,221 +79,38 @@ def auto_chunk_size(n_cells: int, n_workers: int) -> int:
     return max(1, min(_MAX_AUTO_CHUNK, n_cells // (n_workers * 4)))
 
 
-def _sweep_worker_main(tasks: Any, results: Any, cancel: Any) -> None:
-    """Worker loop: run spec-dict cells through a long-lived local Engine."""
+def run_cells(frame: Tuple[Any, ...], results: Any, cancel: Any, engines: Dict[str, Any]) -> None:
+    """Worker side of a ``cells`` task frame: run each spec-dict cell.
+
+    Puts one ``("cell", batch_id, index, status, payload)`` frame per cell —
+    status ``ok`` (a report dict), ``err`` (the rendered exception) or
+    ``skip`` (cancelled before it started) — then one
+    ``("chunk", batch_id, obs_snapshot_or_None)`` frame.  ``engines`` is the
+    worker's own ``repr(network) -> Engine`` map, kept across chunks.
+    """
     # Deferred so the module stays importable from repro.lab without pulling
     # the full engine at parent import time; workers pay it once.
     from repro import obs
     from repro.api import Engine, SearchSpec
 
-    # A forked worker inherits the parent's counter values; zero them so the
-    # per-chunk snapshots shipped home describe this worker's work only.
-    obs.metrics.reset()
-    engines: Dict[str, Engine] = {}
-    while True:
-        frame = tasks.get()
-        if frame is None:
-            break
-        batch_id, cells, obs_enabled, network = frame
-        if obs_enabled and not obs.enabled():
-            obs.enable()
-        elif not obs_enabled and obs.enabled():
-            obs.disable()
-        engine = engines.get(repr(network))
-        if engine is None:
-            engine = engines[repr(network)] = Engine(network=network)
-        for index, spec_dict in cells:
-            if cancel.is_set():
-                results.put(("cell", batch_id, index, "skip", None))
-                continue
-            try:
-                report = engine.run(SearchSpec.from_dict(spec_dict))
-                results.put(("cell", batch_id, index, "ok", report.to_dict()))
-            except BaseException as exc:  # error frame, never a dead parent
-                results.put(
-                    ("cell", batch_id, index, "err", f"{type(exc).__name__}: {exc}")
-                )
-        snapshot = obs.metrics.snapshot() if obs_enabled else None
-        if obs_enabled:
-            obs.metrics.reset()
-        results.put(("chunk", batch_id, snapshot))
-
-
-class SweepWorkerPool:
-    """Long-lived worker processes executing serialized sweep cells.
-
-    Like :class:`repro.parallel.pool.PersistentWorkerPool`, the pool is
-    meant to outlive a single batch: create it once (or use
-    :func:`shared_sweep_pool`) and every sweep reuses the same processes.
-    One batch runs at a time (``begin_batch`` holds a lock), so concurrent
-    callers — e.g. two service worker threads — queue rather than interleave
-    each other's result frames.
-    """
-
-    def __init__(self, n_workers: Optional[int] = None, start_method: Optional[str] = None):
-        if n_workers is not None and n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-        context = multiprocessing.get_context(start_method) if start_method else multiprocessing
-        self._tasks = context.Queue()
-        self._results = context.Queue()
-        self._cancel = context.Event()
-        self._workers = [
-            context.Process(
-                target=_sweep_worker_main,
-                args=(self._tasks, self._results, self._cancel),
-                daemon=True,
-            )
-            for _ in range(self.n_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._batch_lock = threading.Lock()
-        self._next_batch = 0
-        self._closed = False
-        #: lifetime counters (tests and diagnostics)
-        self.chunks_dispatched = 0
-        self.cells_dispatched = 0
-
-    # ------------------------------------------------------------------ #
-    # Batch protocol
-    # ------------------------------------------------------------------ #
-    def begin_batch(self) -> int:
-        """Claim the pool for one batch; returns the batch id.
-
-        Blocks while another batch runs.  Always pair with ``end_batch`` in
-        a ``finally`` — the pool stays claimed (and every other caller
-        blocked) otherwise.
-        """
-        if self._closed:
-            raise RuntimeError("the sweep worker pool has been closed")
-        self._batch_lock.acquire()
-        self._cancel.clear()
-        self._next_batch += 1
-        return self._next_batch
-
-    def end_batch(self) -> None:
-        """Release the pool for the next batch."""
-        self._batch_lock.release()
-
-    def submit_chunk(
-        self,
-        batch_id: int,
-        cells: Sequence[Tuple[int, Dict[str, Any]]],
-        obs_enabled: bool,
-        network: Any = None,
-    ) -> None:
-        """Enqueue one task frame of ``(cell_index, spec_dict)`` pairs."""
-        if self._closed:
-            raise RuntimeError("the sweep worker pool has been closed")
-        self._tasks.put((batch_id, list(cells), obs_enabled, network))
-        self.chunks_dispatched += 1
-        self.cells_dispatched += len(cells)
-
-    def cancel_batch(self) -> None:
-        """Ask workers to skip cells not yet started (idempotent)."""
-        self._cancel.set()
-
-    def next_frame(self, batch_id: int, poll_s: float = 0.1) -> Optional[Tuple[Any, ...]]:
-        """The next result frame of ``batch_id``, or ``None`` on a poll tick.
-
-        Returning ``None`` (rather than blocking indefinitely) lets the
-        caller re-check its cancel flag between frames.  Frames from other
-        batches — impossible while batches hold the lock and drain fully,
-        but cheap to guard — are dropped.  Raises ``RuntimeError`` when a
-        worker died or no frame arrived for :data:`_FRAME_TIMEOUT_S`.
-        """
-        deadline = time.monotonic() + _FRAME_TIMEOUT_S
-        while True:
-            try:
-                frame = self._results.get(timeout=poll_s)
-            except _queue.Empty:
-                if not self.alive:
-                    self._reap()
-                    raise RuntimeError(
-                        "a sweep worker process died; the pool has been torn down"
-                    ) from None
-                if time.monotonic() >= deadline:
-                    self._reap()
-                    raise RuntimeError(
-                        f"sweep worker pool produced no frame for {_FRAME_TIMEOUT_S:.0f}s"
-                    ) from None
-                return None
-            if frame[1] != batch_id:  # pragma: no cover - defensive
-                continue
-            return frame
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def alive(self) -> bool:
-        """True while the pool is open and every worker process lives."""
-        return not self._closed and all(w.is_alive() for w in self._workers)
-
-    def _reap(self) -> None:
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.terminate()
-        self._closed = True
-
-    def close(self) -> None:
-        """Shut the workers down (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._cancel.set()
-        for _ in self._workers:
-            try:
-                self._tasks.put(None)
-            except (OSError, ValueError):  # pragma: no cover - defensive
-                break
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-            if worker.is_alive():  # pragma: no cover - defensive
-                worker.terminate()
-        self._tasks.close()
-        self._results.close()
-
-    def __enter__(self) -> "SweepWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - defensive
+    _, batch_id, cells, obs_enabled, network = frame
+    if obs_enabled and not obs.enabled():
+        obs.enable()
+    elif not obs_enabled and obs.enabled():
+        obs.disable()
+    engine = engines.get(repr(network))
+    if engine is None:
+        engine = engines[repr(network)] = Engine(network=network)
+    for index, spec_dict in cells:
+        if cancel.is_set():
+            results.put(("cell", batch_id, index, "skip", None))
+            continue
         try:
-            self.close()
-        except Exception:
-            pass
-
-
-_SHARED: Optional[SweepWorkerPool] = None
-
-
-def shared_sweep_pool(n_workers: Optional[int] = None) -> SweepWorkerPool:
-    """The process-wide sweep pool, (re)created on size change or death.
-
-    Every ``Engine.stream(executor="process")`` call that does not manage
-    its own pool shares these workers, so repeated sweeps pay the process
-    spawn cost once — the same persistence contract as
-    :func:`repro.parallel.pool.shared_pool`.
-    """
-    global _SHARED
-    wanted = n_workers if n_workers is not None else (os.cpu_count() or 1)
-    if _SHARED is None or not _SHARED.alive or _SHARED.n_workers != wanted:
-        if _SHARED is not None:
-            _SHARED.close()
-        _SHARED = SweepWorkerPool(n_workers=wanted)
-    return _SHARED
-
-
-def close_shared_sweep_pool() -> None:
-    """Tear down the process-wide pool (also registered at interpreter exit)."""
-    global _SHARED
-    if _SHARED is not None:
-        _SHARED.close()
-        _SHARED = None
-
-
-atexit.register(close_shared_sweep_pool)
+            report = engine.run(SearchSpec.from_dict(spec_dict))
+            results.put(("cell", batch_id, index, "ok", report.to_dict()))
+        except Exception as exc:  # an error frame, never a dead parent
+            results.put(("cell", batch_id, index, "err", f"{type(exc).__name__}: {exc}"))
+    snapshot = obs.metrics.snapshot() if obs_enabled else None
+    if obs_enabled:
+        obs.metrics.reset()
+    results.put(("chunk", batch_id, snapshot))

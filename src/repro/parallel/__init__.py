@@ -11,6 +11,12 @@ Two execution substrates are provided:
   run the root-level fan-out with genuine OS-level parallelism on the local
   machine.
 
+Every out-of-process path runs on one worker pool,
+:class:`PersistentWorkerPool` (:func:`shared_pool` is the process-wide
+instance): the ``multiprocessing`` backend's candidate evaluations,
+:class:`PooledJobExecutor`'s client searches and the sweep cells of
+``Engine.stream(executor="process")``.
+
 Both substrates are exposed as backends of the unified :mod:`repro.api`
 facade (``sim-cluster``, ``multiprocessing``, ``threads``); the experiment
 front-ends here (:func:`first_move_experiment`, :func:`rollout_experiment`,

@@ -16,9 +16,13 @@ with the same master seed.
 Positions are shipped to the workers as compact binary wire frames
 (:meth:`repro.games.base.GameState.encode`) through a
 :class:`repro.parallel.pool.PersistentWorkerPool` instead of per-job pickled
-state objects; by default searches share the process-wide pool
-(:func:`repro.parallel.pool.shared_pool`), so repeated searches reuse the
-same worker processes instead of forking a fresh pool per call.
+state objects, and moves travel as the game's own move objects; by default
+searches share the process-wide pool
+(:func:`repro.parallel.pool.shared_pool`) — the same workers that run
+process-executor sweeps — so repeated searches reuse the same worker
+processes instead of forking a fresh pool per call.  Each root step is one
+batch on the pool, so threads running searches on one pool take turns step
+by step, and a worker that dies fails the search with ``RuntimeError``.
 """
 
 from __future__ import annotations

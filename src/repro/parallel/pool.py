@@ -1,26 +1,42 @@
-"""A persistent, pickle-free worker pool for the real parallel executors.
+"""The persistent, pickle-free worker-process pool behind every real parallel path.
 
-The original :mod:`repro.parallel.multiproc` spun up a fresh
-``multiprocessing.Pool`` per search call and shipped every job as a pickled
-``(state, move, level, seeds)`` tuple — re-pickling the *whole* game state
-(sets, dicts, a numpy matrix for TSP) once per candidate move.  This module
-replaces that with:
+One pool serves both kinds of out-of-process work in the library:
+
+* **search jobs** — the root-level fan-out of
+  :func:`repro.parallel.multiproc.multiprocessing_nmcs` (candidate
+  evaluations) and :class:`repro.parallel.jobs.PooledJobExecutor` (client
+  searches of the simulated cluster);
+* **sweep cells** — ``Engine.stream(..., executor="process")``, whose
+  sweep-specific pieces (chunk sizing, the worker-side cell handler,
+  :class:`~repro.lab.procpool.RemoteCellError`) live in
+  :mod:`repro.lab.procpool`.
+
+Both travel as task frames whose first field names their kind (``"job"`` or
+``"cells"``) and whose second is the id of the batch that sent them:
 
 * **Persistent workers** — processes are spawned once and reused across
-  batches, steps and whole searches (see :func:`shared_pool` for a
+  batches, steps, whole searches and sweeps (see :func:`shared_pool` for the
   process-wide singleton).
 * **Compact wire forms** — positions cross the process boundary as the
   game's own binary ``encode()`` frame (see :mod:`repro.games.base`), not as
   a pickled object graph; games without a registered wire kind transparently
-  fall back to pickle payloads inside the same framing.
+  fall back to pickle payloads inside the same framing.  Sweep cells travel
+  as ``SearchSpec.to_dict()`` documents.
 * **Worker-side decode caching** — every candidate evaluation of a step
   shares one encoded blob, so each worker decodes a given position at most
   once and replays cheap ``copy()`` calls for the rest of the batch.
+* **One batch at a time** — :meth:`PersistentWorkerPool.begin_batch` holds a
+  lock, so threads sharing the pool queue instead of reading each other's
+  result frames, and :meth:`~PersistentWorkerPool.next_frame` drops frames
+  left over from an earlier, abandoned batch.
+* **Fail fast** — a worker that dies (a signal, the OOM killer) sends no
+  error frame; ``next_frame`` notices it at its next empty poll tick, tears
+  the pool down and raises ``RuntimeError``, and :func:`shared_pool` then
+  builds a fresh one.
 
-Moves and result sequences travel as plain nested tuples (namedtuple moves
-compare equal to their tuple form, and every kernel's ``apply`` coerces
-plain tuples), and seeds travel as ``(master_seed, path)`` label tuples, so
-no game or library class is ever serialised on the hot path.
+Moves and result sequences cross the pipe as the game's own move objects, so
+a pooled search returns exactly what the sequential one does; seeds travel
+as ``(master_seed, path)`` label tuples.
 """
 
 from __future__ import annotations
@@ -29,8 +45,11 @@ import atexit
 import multiprocessing
 import os
 import queue as _queue
+import threading
+import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core.counters import WorkCounter
 from repro.core.nested import evaluate_move, nested_search
 from repro.core.sample import sample
@@ -42,51 +61,69 @@ __all__ = ["PersistentWorkerPool", "shared_pool", "close_shared_pool"]
 #: Worker-side decoded-position cache size (distinct encoded blobs).
 _DECODE_CACHE_LIMIT = 64
 
-
-def _plain(move: Any) -> Any:
-    """Convert a move to plain nested tuples (identity for ints/strings)."""
-    if isinstance(move, tuple):
-        return tuple(_plain(v) for v in move)
-    return move
+#: Seconds a search-job batch waits without any result before it declares
+#: the pool wedged.  Sweep batches have no such deadline: a cell may
+#: legitimately run for hours.
+_JOB_TIMEOUT_S = 600.0
 
 
-def _worker_main(tasks: Any, results: Any) -> None:
-    """Worker loop: decode positions from wire frames and evaluate candidates."""
+def _run_job(frame: Tuple[Any, ...], decode_cache: Dict[bytes, GameState]) -> Tuple[Any, ...]:
+    """Run one ``job`` frame and return its result frame.
+
+    A job with a ``move`` evaluates that candidate of the position (the
+    root-level fan-out); a job without one (``move is None``) is a full
+    client search from the position itself.
+    """
+    _, batch_id, job_id, blob, move, level, master_seed, path = frame
+    try:
+        state = decode_cache.get(blob)
+        if state is None:
+            if len(decode_cache) >= _DECODE_CACHE_LIMIT:
+                decode_cache.clear()
+            state = decode_cache[blob] = decode_state(blob)
+        seeds = SeedSequence(master_seed, *path)
+        counter = WorkCounter()
+        if move is not None:
+            result = evaluate_move(state, move, level, seeds, counter)
+        elif level <= 0:
+            result = sample(state, seeds=seeds, counter=counter)
+        else:
+            result = nested_search(state, level, seeds, counter=counter)
+        payload = (result.score, tuple(result.sequence), float(counter.moves))
+        return ("job", batch_id, job_id, "ok", payload)
+    except Exception as exc:  # an error frame, never a parent waiting forever
+        return ("job", batch_id, job_id, "err", f"{type(exc).__name__}: {exc}")
+
+
+def _worker_main(tasks: Any, results: Any, cancel: Any) -> None:
+    """Worker loop: run ``job`` and ``cells`` task frames until a ``None`` frame."""
+    # A forked worker inherits the parent's counter values; zero them so the
+    # per-chunk snapshots a ``cells`` frame ships home describe this
+    # worker's work only.
+    obs.metrics.reset()
     decode_cache: Dict[bytes, GameState] = {}
+    engines: Dict[str, Any] = {}
     while True:
-        message = tasks.get()
-        if message is None:
+        frame = tasks.get()
+        if frame is None:
             break
-        job_id, blob, kind, move, level, master_seed, path = message
-        try:
-            state = decode_cache.get(blob)
-            if state is None:
-                if len(decode_cache) >= _DECODE_CACHE_LIMIT:
-                    decode_cache.clear()
-                state = decode_cache[blob] = decode_state(blob)
-            seeds = SeedSequence(master_seed, *path)
-            if kind == "eval":
-                result = evaluate_move(state, move, level, seeds)
-                work_units = float(result.work.moves)
-            else:  # "search": a full client job from the decoded position
-                counter = WorkCounter()
-                if level <= 0:
-                    result = sample(state, seeds=seeds, counter=counter)
-                else:
-                    result = nested_search(state, level, seeds, counter=counter)
-                work_units = float(counter.moves)
-            sequence = tuple(_plain(m) for m in result.sequence)
-            results.put(("ok", job_id, result.score, sequence, work_units))
-        except BaseException as exc:  # surface instead of deadlocking the caller
-            results.put(("err", job_id, f"{type(exc).__name__}: {exc}", (), 0.0))
+        if frame[0] == "job":
+            results.put(_run_job(frame, decode_cache))
+        else:
+            # Deferred: the cell handler pulls in the whole engine, which
+            # imports this module.
+            from repro.lab.procpool import run_cells
+
+            run_cells(frame, results, cancel, engines)
 
 
 class PersistentWorkerPool:
-    """A pool of long-lived evaluation workers fed by compact wire frames.
+    """A pool of long-lived worker processes fed by compact task frames.
 
     Unlike ``multiprocessing.Pool``, the pool is meant to outlive a single
-    search: create it once (or use :func:`shared_pool`) and every
-    :meth:`evaluate_candidates` call reuses the same worker processes.
+    search or sweep: create it once (or use :func:`shared_pool`) and every
+    :meth:`evaluate_candidates`, :meth:`run_search` and sweep batch reuses
+    the same worker processes.
     """
 
     def __init__(self, n_workers: Optional[int] = None, start_method: Optional[str] = None):
@@ -96,20 +133,139 @@ class PersistentWorkerPool:
         context = multiprocessing.get_context(start_method) if start_method else multiprocessing
         self._tasks = context.Queue()
         self._results = context.Queue()
+        self._cancel = context.Event()
         self._workers = [
-            context.Process(target=_worker_main, args=(self._tasks, self._results), daemon=True)
+            context.Process(
+                target=_worker_main,
+                args=(self._tasks, self._results, self._cancel),
+                daemon=True,
+            )
             for _ in range(self.n_workers)
         ]
-        for w in self._workers:
-            w.start()
-        self._next_id = 0
+        for worker in self._workers:
+            worker.start()
+        self._batch_lock = threading.Lock()
+        self._next_batch = 0
         self._closed = False
-        #: total candidate evaluations executed (for reporting)
+        #: lifetime counters (reporting, tests and diagnostics)
         self.jobs_executed = 0
+        self.chunks_dispatched = 0
+        self.cells_dispatched = 0
 
     # ------------------------------------------------------------------ #
-    # Submission
+    # Batch protocol
     # ------------------------------------------------------------------ #
+    def begin_batch(self) -> int:
+        """Claim the pool for one batch; returns the batch id.
+
+        Blocks while another batch runs.  Always pair with ``end_batch`` in
+        a ``finally`` — the pool stays claimed (and every other caller
+        blocked) otherwise.  The lock is not re-entrant: a thread holding a
+        batch must not start another on the same pool.  That includes an
+        ``Engine.stream(executor="process")`` consumer, which holds its
+        batch while it yields events: running a ``multiprocessing`` search
+        or a second process stream from that loop deadlocks.
+        """
+        self._batch_lock.acquire()
+        if self._closed:  # also when closed while this caller waited
+            self._batch_lock.release()
+            raise RuntimeError("the worker pool has been closed")
+        self._cancel.clear()
+        self._next_batch += 1
+        return self._next_batch
+
+    def end_batch(self) -> None:
+        """Release the pool for the next batch."""
+        self._batch_lock.release()
+
+    def submit_chunk(
+        self,
+        batch_id: int,
+        cells: Sequence[Tuple[int, Dict[str, Any]]],
+        obs_enabled: bool,
+        network: Any = None,
+    ) -> None:
+        """Enqueue one ``cells`` task frame of ``(cell_index, spec_dict)`` pairs."""
+        if self._closed:
+            raise RuntimeError("the worker pool has been closed")
+        self._tasks.put(("cells", batch_id, list(cells), obs_enabled, network))
+        self.chunks_dispatched += 1
+        self.cells_dispatched += len(cells)
+
+    def cancel_batch(self) -> None:
+        """Ask workers to skip cells not yet started (idempotent)."""
+        self._cancel.set()
+
+    def next_frame(self, batch_id: int, poll_s: float = 0.1) -> Optional[Tuple[Any, ...]]:
+        """The next result frame of ``batch_id``, or ``None`` on a poll tick.
+
+        Returning ``None`` (rather than blocking indefinitely) lets the
+        caller re-check its cancel flag between frames.  Frames from other
+        batches — left behind when an earlier batch stopped reading before
+        its last frame — are dropped.  Raises ``RuntimeError`` once a worker
+        has died, after tearing the pool down.
+        """
+        while True:
+            try:
+                frame = self._results.get(timeout=poll_s)
+            except _queue.Empty:
+                if not self.alive:
+                    self._reap()
+                    raise RuntimeError(
+                        "a worker process died; the pool has been torn down"
+                    ) from None
+                return None
+            if frame[1] == batch_id:
+                return frame
+
+    # ------------------------------------------------------------------ #
+    # Search jobs
+    # ------------------------------------------------------------------ #
+    def _run_jobs(
+        self, state: GameState, level: int, jobs: Sequence[Tuple[Any, SeedSequence]]
+    ) -> List[Tuple[float, Tuple[Move, ...], float]]:
+        """Run ``(move, seeds)`` jobs from ``state`` as one batch; outcomes in input order.
+
+        The position is encoded **once** and shared by every job's frame;
+        per-job frames (rather than per-worker chunks) keep the load
+        balanced when playout costs vary wildly.  A job that raised fails
+        the call after the rest of the batch has drained; a batch that gets
+        no result for :data:`_JOB_TIMEOUT_S` tears the pool down and fails.
+        """
+        blob = state.encode()
+        outcomes: List[Any] = [None] * len(jobs)
+        error: Optional[str] = None
+        batch_id = self.begin_batch()
+        try:
+            for job_id, (move, seeds) in enumerate(jobs):
+                self._tasks.put(
+                    ("job", batch_id, job_id, blob, move, level, seeds.master_seed, seeds.path)
+                )
+            remaining = len(jobs)
+            last_frame = time.monotonic()
+            while remaining:
+                frame = self.next_frame(batch_id)
+                if frame is None:
+                    if time.monotonic() - last_frame > _JOB_TIMEOUT_S:
+                        self._reap()
+                        raise RuntimeError(
+                            f"no job result for {_JOB_TIMEOUT_S:.0f}s; the pool has been torn down"
+                        )
+                    continue
+                last_frame = time.monotonic()
+                _, _, job_id, status, payload = frame
+                remaining -= 1
+                if status == "ok":
+                    outcomes[job_id] = payload
+                elif error is None:
+                    error = payload
+            if error is not None:
+                raise RuntimeError(f"worker job failed: {error}")
+            self.jobs_executed += len(jobs)
+        finally:
+            self.end_batch()
+        return outcomes
+
     def evaluate_candidates(
         self,
         state: GameState,
@@ -122,46 +278,13 @@ class PersistentWorkerPool:
         (the shape produced by
         :func:`repro.core.nested.candidate_evaluations`); the result is
         ``(candidate_index, score, sequence, work_units)`` in input order.
-        The position is encoded **once** and shared by every candidate's
-        message; per-candidate messages (rather than per-worker chunks) keep
-        the load balanced when playout costs vary wildly.
         """
-        if self._closed:
-            raise RuntimeError("the worker pool has been closed")
         if not evaluations:
             return []
-        blob = state.encode()
-        pending: Dict[int, int] = {}
-        for index, move, child_seeds in evaluations:
-            job_id = self._next_id
-            self._next_id += 1
-            pending[job_id] = index
-            self._tasks.put(
-                (job_id, blob, "eval", _plain(move), level, child_seeds.master_seed, child_seeds.path)
-            )
-        outcomes: Dict[int, Tuple[float, Tuple[Move, ...], float]] = {}
-        while pending:
-            try:
-                status, job_id, score, sequence, work_units = self._results.get(timeout=600.0)
-            except _queue.Empty:
-                self._reap()
-                raise RuntimeError("worker pool timed out waiting for results")
-            if status != "ok":
-                self._reap()
-                raise RuntimeError(f"worker job failed: {score}")
-            outcomes[pending.pop(job_id)] = (score, sequence, work_units)
-        self.jobs_executed += len(evaluations)
-        return [
-            (index, *outcomes[index])
-            for index, _, _ in evaluations
-        ]
-
-    def evaluate_one(self, state: GameState, move: Move, level: int, seeds: SeedSequence) -> Tuple[float, Tuple[Move, ...], float]:
-        """Evaluate a single candidate (``(score, sequence, work_units)``)."""
-        ((_, score, sequence, work_units),) = self.evaluate_candidates(
-            state, [(0, move, seeds)], level
+        outcomes = self._run_jobs(
+            state, level, [(move, child_seeds) for _, move, child_seeds in evaluations]
         )
-        return score, sequence, work_units
+        return [(index, *outcome) for (index, _, _), outcome in zip(evaluations, outcomes)]
 
     def run_search(
         self, state: GameState, level: int, seeds: SeedSequence
@@ -174,25 +297,8 @@ class PersistentWorkerPool:
         through the same wire protocol (see
         :class:`repro.parallel.jobs.PooledJobExecutor`).
         """
-        if self._closed:
-            raise RuntimeError("the worker pool has been closed")
-        job_id = self._next_id
-        self._next_id += 1
-        self._tasks.put(
-            (job_id, state.encode(), "search", None, level, seeds.master_seed, seeds.path)
-        )
-        while True:
-            try:
-                status, got_id, score, sequence, work_units = self._results.get(timeout=600.0)
-            except _queue.Empty:
-                self._reap()
-                raise RuntimeError("worker pool timed out waiting for results")
-            if status != "ok":
-                self._reap()
-                raise RuntimeError(f"worker job failed: {score}")
-            if got_id == job_id:
-                self.jobs_executed += 1
-                return score, sequence, work_units
+        (outcome,) = self._run_jobs(state, level, [(None, seeds)])
+        return outcome
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -203,9 +309,9 @@ class PersistentWorkerPool:
         return not self._closed and all(w.is_alive() for w in self._workers)
 
     def _reap(self) -> None:
-        for w in self._workers:
-            if w.is_alive():
-                w.terminate()
+        for worker in self._workers:
+            if worker.is_alive():
+                worker.terminate()
         self._closed = True
 
     def close(self) -> None:
@@ -213,15 +319,16 @@ class PersistentWorkerPool:
         if self._closed:
             return
         self._closed = True
+        self._cancel.set()
         for _ in self._workers:
             try:
                 self._tasks.put(None)
             except (OSError, ValueError):  # pragma: no cover - defensive
                 break
-        for w in self._workers:
-            w.join(timeout=5.0)
-            if w.is_alive():  # pragma: no cover - defensive
-                w.terminate()
+        for worker in self._workers:
+            worker.join(timeout=5.0)
+            if worker.is_alive():  # pragma: no cover - defensive
+                worker.terminate()
         self._tasks.close()
         self._results.close()
 
@@ -244,9 +351,11 @@ _SHARED: Optional[PersistentWorkerPool] = None
 def shared_pool(n_workers: Optional[int] = None) -> PersistentWorkerPool:
     """The process-wide persistent pool, (re)created on size change or death.
 
-    This is what makes the pool *persistent across searches*: every caller
-    that does not manage its own pool shares these workers, so repeated
-    searches / benchmark iterations pay the process spawn cost once.
+    This is what makes the pool *persistent across searches and sweeps*:
+    every caller that does not manage its own pool — ``multiprocessing``
+    searches, :class:`~repro.parallel.jobs.PooledJobExecutor` and
+    ``Engine.stream(executor="process")`` — shares these workers, so
+    repeated runs pay the process spawn cost once.
     """
     global _SHARED
     wanted = n_workers if n_workers is not None else (os.cpu_count() or 1)

@@ -63,26 +63,50 @@ def play_callers(monkeypatch):
 
 
 def _result(report):
-    # Pooled jobs return moves in their plain wire form: compare by value.
-    return report.score, tuple(report.sequence), report.simulated_seconds
+    # The stored form: it renders each move, so it also tells a game's move
+    # objects from plain tuples of the same value.
+    return report.score, report.to_dict()["sequence"], report.simulated_seconds
+
+
+def _run_every_executor(spec, state=None):
+    """Run ``spec`` once per executor kind; returns ``(results, executors)``."""
+    with PersistentWorkerPool(n_workers=1) as pool:
+        executors = {
+            "direct": DirectJobExecutor(),
+            "caching": CachingJobExecutor(),
+            "caching-pooled": CachingJobExecutor(PooledJobExecutor(pool=pool)),
+            "user": StrictExecutor(),
+        }
+        results = {
+            name: _result(
+                Engine(executor=executor).run(
+                    spec, state=None if state is None else state.copy()
+                )
+            )
+            for name, executor in executors.items()
+        }
+    return results, executors
 
 
 class TestExecutorMatrix:
     def test_every_executor_returns_the_same_run(self):
-        with PersistentWorkerPool(n_workers=1) as pool:
-            executors = {
-                "direct": DirectJobExecutor(),
-                "caching": CachingJobExecutor(),
-                "caching-pooled": CachingJobExecutor(PooledJobExecutor(pool=pool)),
-                "user": StrictExecutor(),
-            }
-            results = {
-                name: _result(Engine(executor=executor).run(SPEC))
-                for name, executor in executors.items()
-            }
+        results, executors = _run_every_executor(SPEC)
         reference = results["direct"]
         assert all(result == reference for result in results.values()), results
         assert executors["user"].positions == executors["direct"].jobs_executed > 0
+
+    def test_every_executor_returns_the_same_morpion_run(self):
+        """Morpion moves are namedtuples (leftmove's are ints): a pool that
+        handed back plain tuples would change the stored sequence."""
+        # Four moves from the end of a level-1 game keeps the run to ~700 jobs.
+        state = get_workload("morpion-small").state()
+        played = Engine().run(SearchSpec(workload="morpion-small", level=1, seed=3))
+        for move in played.sequence[:8]:
+            state.apply(move)
+        results, _ = _run_every_executor(SPEC.replace(workload="morpion-small"), state)
+        reference = results["direct"]
+        assert "MorpionMove" in reference[1][-1]
+        assert all(result == reference for result in results.values()), results
 
     def test_warm_cache_builds_no_job_position(self, play_callers):
         executor = CachingJobExecutor()

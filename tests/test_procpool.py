@@ -25,13 +25,9 @@ from repro.api import ALGORITHMS, Engine, SearchSpec, register_algorithm
 from repro.cluster.network import NetworkModel
 from repro.core.sample import sample
 from repro.lab import ResultStore, SweepSpec
-from repro.lab.procpool import (
-    RemoteCellError,
-    SweepWorkerPool,
-    auto_chunk_size,
-    close_shared_sweep_pool,
-    shared_sweep_pool,
-)
+from repro.lab.procpool import RemoteCellError, SweepWorkerPool, auto_chunk_size
+from repro.parallel.pool import close_shared_pool as close_shared_sweep_pool
+from repro.parallel.pool import shared_pool as shared_sweep_pool
 from repro.obs.metrics import MetricsRegistry
 
 

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
+from repro.api import Engine, SearchSpec
 from repro.core.nested import candidate_evaluations, evaluate_move
 from repro.games.base import decode_state, wire_kinds
 from repro.games.morpion.state import MorpionState
 from repro.games.samegame import SameGameState
 from repro.games.tsp import TSPInstance, TSPState
 from repro.games.weakschur import WeakSchurState
+from repro.lab import ResultStore
+from repro.parallel import pool as pool_module
 from repro.parallel.jobs import DirectJobExecutor, PooledJobExecutor
 from repro.parallel.pool import PersistentWorkerPool, close_shared_pool, shared_pool
 from repro.prng import SeedSequence
@@ -145,3 +152,87 @@ class TestSharedPool:
             assert c.n_workers == 1
         finally:
             close_shared_pool()
+
+
+#: four ``multiprocessing`` cells sharing the process-wide two-worker pool
+MP_SPECS = [
+    SearchSpec(workload="morpion-small", backend="multiprocessing", level=1, seed=seed, n_workers=2)
+    for seed in range(4)
+]
+
+
+def _stored_form(reports):
+    return [(report.score, report.to_dict()["sequence"]) for report in reports]
+
+
+class TestSharedByThreads:
+    """Threads sharing one pool take turns instead of reading each other's frames."""
+
+    def test_threads_calling_evaluate_candidates_get_the_serial_results(self):
+        state = get_workload("morpion-small").state()
+        evaluations = candidate_evaluations(state, 1, 0, SeedSequence(3, "nmcs"))
+        with PersistentWorkerPool(n_workers=2) as pool:
+            serial = pool.evaluate_candidates(state, evaluations, 0)
+            results = {}
+
+            def evaluate(slot):
+                results[slot] = pool.evaluate_candidates(state, evaluations, 0)
+
+            threads = [threading.Thread(target=evaluate, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert results == {slot: serial for slot in range(4)}
+            assert pool.evaluate_candidates(state, evaluations, 0) == serial
+
+    def test_thread_stream_of_multiprocessing_cells_matches_serial(self):
+        serial = Engine().run_many(MP_SPECS)
+        threaded = Engine().run_many(MP_SPECS, max_workers=2, error_policy="skip")
+        assert _stored_form(threaded) == _stored_form(serial)
+        # No stale frame is left behind for the next caller.
+        assert _stored_form(Engine().run_many(MP_SPECS)) == _stored_form(serial)
+
+
+class TestDeadWorker:
+    def test_killed_worker_fails_the_call_fast_and_the_shared_pool_recovers(self):
+        pool = shared_pool(2)
+        state = get_workload("morpion-small").state()
+        # Two level-3 evaluations: minutes of work, one per worker.
+        evaluations = candidate_evaluations(state, 4, 0, SeedSequence(1, "nmcs"))[:2]
+        killer = threading.Timer(0.3, os.kill, (pool._workers[0].pid, signal.SIGKILL))
+        started = time.monotonic()
+        killer.start()
+        try:
+            with pytest.raises(RuntimeError, match="died"):
+                pool.evaluate_candidates(state, evaluations, 3)
+        finally:
+            killer.join(timeout=10)
+        assert time.monotonic() - started < 5.0
+        assert not pool.alive
+        fresh = shared_pool(2)
+        assert fresh is not pool and fresh.alive
+        assert len(fresh.evaluate_candidates(state, evaluations[:2], 0)) == 2
+
+    def test_silent_job_batch_times_out(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_JOB_TIMEOUT_S", 0.3)
+        state = get_workload("morpion-small").state()
+        # A level-3 evaluation sends nothing for minutes.
+        evaluations = candidate_evaluations(state, 4, 0, SeedSequence(1, "nmcs"))[:1]
+        with PersistentWorkerPool(n_workers=1) as pool:
+            with pytest.raises(RuntimeError, match="no job result"):
+                pool.evaluate_candidates(state, evaluations, 3)
+            assert not pool.alive
+
+
+def test_multiprocessing_stores_the_moves_sequential_stores(tmp_path):
+    """Moves cross the pipe as the game's own objects, not plain tuples."""
+    spec = SearchSpec(workload="morpion-small", level=1, seed=3)
+    store = ResultStore(tmp_path)
+    Engine().run_many([spec, spec.replace(backend="multiprocessing", n_workers=2)], store=store)
+    stored = {
+        record["report"]["backend"]: record["report"]["sequence"] for record in store.records()
+    }
+    assert "MorpionMove" in stored["sequential"][0]
+    assert stored["multiprocessing"] == stored["sequential"]
