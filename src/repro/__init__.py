@@ -17,7 +17,7 @@ The library is organised as:
   kernel, nodes, network, traces);
 * :mod:`repro.parallel` — the paper's parallel algorithms (root / median /
   dispatcher / client roles, Round-Robin and Last-Minute dispatching) plus
-  real local executors (multiprocessing / threads);
+  the real local executor on worker processes;
 * :mod:`repro.timemodel`, :mod:`repro.analysis`, :mod:`repro.paperdata`,
   :mod:`repro.workloads` — cost model, reporting and the benchmark harness
   support code;
@@ -48,9 +48,8 @@ True
 >>> cluster.simulated_seconds < sequential.simulated_seconds  # but faster
 True
 
-The pre-API entry points (``nmcs``, ``run_parallel_nmcs``,
-``first_move_experiment``, ...) remain importable; the experiment front-ends
-are deprecated shims over the unified API.
+The kernels under the API (``nmcs``, ``run_parallel_nmcs``,
+``multiprocessing_nmcs``) remain importable for callers that need them.
 """
 
 from repro.api import (
@@ -100,14 +99,8 @@ from repro.parallel import (
     DispatcherKind,
     ParallelConfig,
     ParallelRunResult,
-    first_move_experiment,
     multiprocessing_nmcs,
-    rollout_experiment,
-    run_last_minute,
     run_parallel_nmcs,
-    run_round_robin,
-    sequential_reference,
-    threaded_nmcs,
 )
 from repro.service import (
     SearchService,
@@ -176,13 +169,7 @@ __all__ = [
     "ParallelRunResult",
     "CachingJobExecutor",
     "run_parallel_nmcs",
-    "run_round_robin",
-    "run_last_minute",
-    "first_move_experiment",
-    "rollout_experiment",
-    "sequential_reference",
     "multiprocessing_nmcs",
-    "threaded_nmcs",
     # service
     "SearchService",
     "ServiceConfig",

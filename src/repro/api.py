@@ -24,8 +24,7 @@ Extensibility is registry-based:
   nrpa — are registered this way);
 * :func:`register_backend` adds an execution substrate conforming to the
   ``(spec, algorithm, ctx) -> RunReport`` protocol (bundled: ``sequential``,
-  ``sim-cluster`` on the discrete-event kernel, ``multiprocessing``,
-  ``threads``).
+  ``sim-cluster`` on the discrete-event kernel, ``multiprocessing``).
 
 Specs and reports serialise to/from dict and JSON (:meth:`SearchSpec.to_json`,
 :meth:`SearchSpec.from_json`, :meth:`RunReport.to_json`), so sweeps can be
@@ -87,7 +86,6 @@ from repro.parallel.config import DispatcherKind, ParallelConfig
 from repro.parallel.driver import run_parallel_nmcs
 from repro.parallel.jobs import CachingJobExecutor, JobExecutor
 from repro.parallel.multiproc import multiprocessing_nmcs
-from repro.parallel.threads import threaded_nmcs
 from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
 from repro.obs import enabled as _obs_enabled
@@ -190,8 +188,8 @@ class SearchSpec:
     level:
         Nesting level; ``None`` uses the workload's low level.
     seed:
-        Master random seed (same derivation as the legacy entry points, so
-        scores are comparable across backends and with the old functions).
+        Master random seed (same derivation on every backend and in
+        :func:`repro.core.nested.nmcs`, so scores are comparable across them).
     max_steps:
         Budget on root moves: ``1`` is the paper's "first move" experiment,
         ``None`` plays the full game ("one rollout").
@@ -206,8 +204,8 @@ class SearchSpec:
     n_clients / n_medians:
         Simulated cluster sizing.
     n_workers:
-        Local pool size for the ``multiprocessing`` / ``threads`` backends
-        (``None`` = backend default).
+        Worker-process count for the ``multiprocessing`` backend
+        (``None`` = the CPU count).
     freq_ghz / units_per_ghz:
         Cost-model parameters mapping work units to simulated seconds.
     memorize_best_sequence:
@@ -431,7 +429,7 @@ class BackendEntry:
 
     ``fn`` follows the protocol ``(spec, algorithm, ctx) -> RunReport``.
     ``algorithms`` restricts which registered algorithms the substrate can
-    execute (``None`` = all); the three parallel substrates distribute the
+    execute (``None`` = all); the two parallel substrates distribute the
     nested search specifically, so they declare ``("nmcs",)``.  ``params``
     declares substrate-level parameter names the backend reads from
     ``spec.params`` (e.g. ``lm_fifo_jobs``); they are accepted in addition
@@ -720,13 +718,11 @@ class Engine:
         spec: "SearchSpec | Mapping[str, Any]",
         *,
         state: Optional[GameState] = None,
-        cluster: Optional[ClusterSpec] = None,
     ) -> RunReport:
         """Execute one scenario and return its :class:`RunReport`.
 
-        ``state`` / ``cluster`` override the spec's workload factory and
-        cluster descriptor for programmatic callers (the legacy entry points
-        delegate through these).
+        ``state`` overrides the spec's workload factory for programmatic
+        callers.
         """
         if isinstance(spec, Mapping):
             spec = SearchSpec.from_dict(spec)
@@ -755,15 +751,13 @@ class Engine:
             cost_model = CostModel(units_per_ghz_per_second=spec.units_per_ghz)
         else:
             cost_model = self.cost_model if self.cost_model is not None else CostModel()
-        if cluster is None and backend.needs_cluster:
-            cluster = build_cluster(spec)
         ctx = RunContext(
             state=state,
             level=level,
             executor=self._executor_for(spec.workload),
             cost_model=cost_model,
             network=self.network,
-            cluster=cluster,
+            cluster=build_cluster(spec) if backend.needs_cluster else None,
         )
         with _obs_span(
             "engine.run",
@@ -1285,7 +1279,6 @@ def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCo
     "multiprocessing",
     description="real root-level fan-out on a local process pool (GIL-free)",
     algorithms=("nmcs",),
-    params=("start_method",),
 )
 def _backend_multiprocessing(
     spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunContext
@@ -1297,36 +1290,6 @@ def _backend_multiprocessing(
         ctx.level,
         master_seed=spec.seed,
         n_workers=spec.n_workers,
-        max_steps=spec.max_steps,
-        start_method=spec.params.get("start_method"),
-    )
-    return RunReport(
-        spec=spec,
-        algorithm=algorithm.name,
-        backend=spec.backend,
-        level=ctx.level,
-        score=run.score,
-        sequence=tuple(run.result.sequence),
-        wall_seconds=run.wall_seconds,
-        n_jobs=run.n_evaluations,
-        n_workers=run.n_workers,
-        raw=run,
-    )
-
-
-@register_backend(
-    "threads",
-    description="root-level fan-out on a thread pool (the GIL ablation)",
-    algorithms=("nmcs",),
-)
-def _backend_threads(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunContext) -> RunReport:
-    if ctx.level < 1:
-        raise ValueError("the threads backend needs level >= 1")
-    run = threaded_nmcs(
-        ctx.state,
-        ctx.level,
-        master_seed=spec.seed,
-        n_workers=spec.n_workers if spec.n_workers is not None else 4,
         max_steps=spec.max_steps,
     )
     return RunReport(

@@ -51,8 +51,6 @@ from repro.api import (
     BACKENDS,
     Engine,
     SearchSpec,
-    list_algorithms,
-    list_backends,
     to_jsonable,
 )
 from repro.experiments import (
@@ -92,13 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit the raw payload as JSON")
 
     def add_common(p: argparse.ArgumentParser, default_workload: str = "morpion-bench") -> None:
-        p.add_argument("--workload", default=default_workload, help="named workload (see 'workloads')")
+        p.add_argument("--workload", default=default_workload, help="named workload (see 'list')")
         p.add_argument("--seed", type=int, default=0, help="master random seed")
-        p.add_argument("--levels", type=int, nargs="*", default=None, help="nesting levels to run")
         add_json(p)
 
-    p = sub.add_parser("workloads", help="list the named workloads, algorithms and backends")
-    add_json(p)
+    def add_levels(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--levels", type=int, nargs="*", default=None, help="nesting levels to run")
 
     # Scenario flags use SUPPRESS defaults so that "explicitly passed" can be
     # told apart from "omitted": with --spec, only passed flags override the
@@ -106,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario_flags(p: argparse.ArgumentParser) -> None:
         omit = argparse.SUPPRESS
         p.add_argument("--spec", default=None, help="path to a SearchSpec JSON file, or an inline JSON object")
-        p.add_argument("--workload", default=omit, help="named workload (see 'workloads')")
-        p.add_argument("--algorithm", default=omit, help="registered algorithm (see 'workloads')")
-        p.add_argument("--backend", default=omit, help="registered backend (see 'workloads')")
+        p.add_argument("--workload", default=omit, help="named workload (see 'list')")
+        p.add_argument("--algorithm", default=omit, help="registered algorithm (see 'list')")
+        p.add_argument("--backend", default=omit, help="registered backend (see 'list')")
         p.add_argument("--level", type=int, default=omit, help="nesting level (default: workload low level)")
         p.add_argument("--seed", type=int, default=omit, help="master random seed")
         p.add_argument("--steps", type=int, default=omit, help="max root moves (omit to play the full game)")
@@ -117,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cluster", default=omit, help="cluster descriptor (sim-cluster backend)")
         p.add_argument("--clients", type=int, default=omit, help="simulated clients (sim-cluster backend)")
         p.add_argument("--medians", type=int, default=omit, help="median processes (sim-cluster backend)")
-        p.add_argument("--workers", type=int, default=omit, help="pool size (multiprocessing/threads backends)")
+        p.add_argument("--workers", type=int, default=omit, help="worker processes (multiprocessing backend)")
         p.add_argument(
             "--param",
             action="append",
@@ -263,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="Table I: sequential first-move and rollout times")
     add_common(p)
+    add_levels(p)
 
     for number, (dispatcher, experiment) in {
         "table2": ("rr", "first_move"),
@@ -275,14 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"Table {number[-1].upper()}: {dispatcher.upper()} {experiment.replace('_', ' ')} client sweep",
         )
         add_common(p)
+        add_levels(p)
         p.add_argument("--clients", type=int, nargs="*", default=list(DEFAULT_CLIENT_COUNTS))
         p.set_defaults(dispatcher=dispatcher, experiment=experiment)
 
     p = sub.add_parser("table6", help="Table VI: LM vs RR on heterogeneous clusters")
     add_common(p)
+    add_levels(p)
 
     p = sub.add_parser("figures2-5", help="Figures 2-5: communication-pattern analysis")
     add_common(p, default_workload="morpion-small")
+    add_levels(p)
     p.add_argument("--clients", type=int, default=8)
 
     p = sub.add_parser("figure1", help="Figure 1: search for a long Morpion sequence and render it")
@@ -779,24 +780,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro`` (returns a process exit code)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "workloads":
-        if args.json:
-            _print_json(
-                {
-                    "workloads": list_workloads(),
-                    "algorithms": list_algorithms(),
-                    "backends": list_backends(),
-                }
-            )
-            return 0
-        for name, description in list_workloads().items():
-            _print(f"{name:16s} {description}")
-        _print("")
-        for kind, listing in (("algorithm", list_algorithms()), ("backend", list_backends())):
-            for name, description in listing.items():
-                _print(f"{kind + ' ' + name:28s} {description}")
-        return 0
 
     if args.command == "serve":
         return _serve_command(args)

@@ -56,10 +56,11 @@ class ParallelConfig:
         parallel run returns the same result as the sequential search.  When
         False they re-decide from the current step's answers only, which is
         what the paper's root/median pseudo-code literally does.
-    master_seed / seed_label:
-        Together they form the root :class:`~repro.prng.SeedSequence`; the
-        defaults match :func:`repro.core.nested.nmcs` so that sequential and
-        parallel runs with the same ``master_seed`` are comparable.
+    master_seed:
+        The root :class:`~repro.prng.SeedSequence` is
+        ``SeedSequence(master_seed, "nmcs")``, the one
+        :func:`repro.core.nested.nmcs` uses, so sequential and parallel runs
+        with the same ``master_seed`` are comparable.
     lm_fifo_jobs:
         Ablation switch: when True the Last-Minute dispatcher serves pending
         jobs first-come-first-served instead of longest-expected-first.
@@ -71,7 +72,6 @@ class ParallelConfig:
     max_root_steps: Optional[int] = None
     memorize_best_sequence: bool = True
     master_seed: int = 0
-    seed_label: str = "nmcs"
     lm_fifo_jobs: bool = False
 
     def __post_init__(self) -> None:

@@ -4,46 +4,31 @@
 dispatcher, clients), runs it until the root finishes its game and returns a
 :class:`ParallelRunResult` bundling the search result, the simulated elapsed
 time and the execution trace.  It is the kernel underneath the ``sim-cluster``
-backend of :mod:`repro.api`.
-
-The convenience front-ends reproducing the paper's experiment types —
-:func:`first_move_experiment`, :func:`rollout_experiment` and
-:func:`sequential_reference` — are kept as deprecated shims over the unified
-API; new code should describe the scenario with a
-:class:`repro.api.SearchSpec` and run it through :class:`repro.api.Engine`.
+backend of :mod:`repro.api`; the paper's experiment types are specs run
+through :class:`repro.api.Engine` (``max_steps=1`` is the "first move"
+experiment, ``max_steps=None`` the "one rollout" one).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.cluster.network import NetworkModel
 from repro.cluster.simulator import Kernel, KernelStats
-from repro.cluster.topology import ClusterSpec, homogeneous_cluster
+from repro.cluster.topology import ClusterSpec
 from repro.cluster.trace import Trace
-from repro.core.counters import WorkCounter
-from repro.core.nested import nested_search
 from repro.core.result import SearchResult
 from repro.games.base import GameState
 from repro.parallel.config import DispatcherKind, ParallelConfig
 from repro.parallel.dispatchers import last_minute_dispatcher, round_robin_dispatcher
-from repro.parallel.jobs import CachingJobExecutor, DirectJobExecutor, JobExecutor
+from repro.parallel.jobs import CachingJobExecutor, JobExecutor
 from repro.obs import span as _obs_span
 from repro.parallel.messages import TAG_DISPATCH, TAG_TASK
 from repro.parallel.roles import client_process, median_name, median_process, root_process
-from repro.prng import SeedSequence
 from repro.timemodel.cost import CostModel
 
-__all__ = [
-    "ParallelRunResult",
-    "SequentialRunResult",
-    "run_parallel_nmcs",
-    "first_move_experiment",
-    "rollout_experiment",
-    "sequential_reference",
-]
+__all__ = ["ParallelRunResult", "run_parallel_nmcs"]
 
 DISPATCHER_NAME = "dispatcher"
 ROOT_NAME = "root"
@@ -74,16 +59,6 @@ class ParallelRunResult:
             return 0.0
         busy = self.trace.busy_time("client")
         return busy / (self.simulated_seconds * self.cluster.n_clients)
-
-
-@dataclass
-class SequentialRunResult:
-    """The sequential algorithm run through the same cost model."""
-
-    result: SearchResult
-    simulated_seconds: float
-    work_units: float
-    freq_ghz: float
 
 
 def run_parallel_nmcs(
@@ -184,142 +159,4 @@ def run_parallel_nmcs(
         total_client_work=total_client_work,
         n_jobs=n_jobs,
         kernel_stats=kernel.stats(),
-    )
-
-
-def _cluster_experiment_shim(
-    what: str,
-    max_steps: Optional[int],
-    state: GameState,
-    level: int,
-    dispatcher: "DispatcherKind | str",
-    cluster: ClusterSpec,
-    master_seed: int,
-    n_medians: int,
-    executor: Optional[JobExecutor],
-    cost_model: Optional[CostModel],
-    network: Optional[NetworkModel],
-    memorize_best_sequence: bool,
-) -> ParallelRunResult:
-    """Delegate a legacy experiment front-end through the unified API."""
-    from repro.api import Engine, SearchSpec
-
-    warnings.warn(
-        f"{what} is deprecated; use repro.api.Engine().run(SearchSpec(backend='sim-cluster', ...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    spec = SearchSpec(
-        backend="sim-cluster",
-        level=level,
-        seed=master_seed,
-        max_steps=max_steps,
-        dispatcher=DispatcherKind.parse(dispatcher).value,
-        n_clients=cluster.n_clients,
-        n_medians=n_medians,
-        memorize_best_sequence=memorize_best_sequence,
-    )
-    engine = Engine(executor=executor, cost_model=cost_model, network=network)
-    return engine.run(spec, state=state, cluster=cluster).raw
-
-
-def first_move_experiment(
-    state: GameState,
-    level: int,
-    dispatcher: "DispatcherKind | str",
-    cluster: ClusterSpec,
-    master_seed: int = 0,
-    n_medians: int = 40,
-    executor: Optional[JobExecutor] = None,
-    cost_model: Optional[CostModel] = None,
-    network: Optional[NetworkModel] = None,
-    memorize_best_sequence: bool = True,
-) -> ParallelRunResult:
-    """The paper's "first move" experiment: stop after the root's first move.
-
-    .. deprecated:: 1.1
-        Shim over :class:`repro.api.Engine`; run a
-        :class:`~repro.api.SearchSpec` with ``max_steps=1`` instead.
-    """
-    return _cluster_experiment_shim(
-        "first_move_experiment", 1, state, level, dispatcher, cluster,
-        master_seed, n_medians, executor, cost_model, network, memorize_best_sequence,
-    )
-
-
-def rollout_experiment(
-    state: GameState,
-    level: int,
-    dispatcher: "DispatcherKind | str",
-    cluster: ClusterSpec,
-    master_seed: int = 0,
-    n_medians: int = 40,
-    executor: Optional[JobExecutor] = None,
-    cost_model: Optional[CostModel] = None,
-    network: Optional[NetworkModel] = None,
-    memorize_best_sequence: bool = True,
-) -> ParallelRunResult:
-    """The paper's "one rollout" experiment: play the root's game to the end.
-
-    .. deprecated:: 1.1
-        Shim over :class:`repro.api.Engine`; run a
-        :class:`~repro.api.SearchSpec` with ``max_steps=None`` instead.
-    """
-    return _cluster_experiment_shim(
-        "rollout_experiment", None, state, level, dispatcher, cluster,
-        master_seed, n_medians, executor, cost_model, network, memorize_best_sequence,
-    )
-
-
-def sequential_reference(
-    state: GameState,
-    level: int,
-    master_seed: int = 0,
-    max_steps: Optional[int] = None,
-    freq_ghz: float = 1.86,
-    cost_model: Optional[CostModel] = None,
-    seed_label: str = "nmcs",
-) -> SequentialRunResult:
-    """Run the *sequential* algorithm and express its duration via the cost model.
-
-    This is the Table I baseline: the time the search would take on a single
-    core of the given frequency under the same work→time mapping used for the
-    simulated cluster, making sequential and parallel times directly
-    comparable (their ratio is the speedup).
-
-    .. deprecated:: 1.1
-        Shim over :class:`repro.api.Engine`; run a
-        :class:`~repro.api.SearchSpec` with ``backend="sequential"`` instead.
-    """
-    from repro.api import Engine, SearchSpec
-
-    warnings.warn(
-        "sequential_reference is deprecated; use repro.api.Engine().run(SearchSpec(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if seed_label != "nmcs":
-        # The unified API fixes the label per algorithm; honour custom labels
-        # through the kernel directly.
-        cost_model = cost_model if cost_model is not None else CostModel()
-        counter = WorkCounter()
-        result = nested_search(
-            state, level, SeedSequence(master_seed, seed_label), counter=counter, max_steps=max_steps
-        )
-        seconds = cost_model.seconds_for(counter.moves, freq_ghz)
-        return SequentialRunResult(
-            result=result,
-            simulated_seconds=seconds,
-            work_units=float(counter.moves),
-            freq_ghz=freq_ghz,
-        )
-    report = Engine(cost_model=cost_model).run(
-        SearchSpec(level=level, seed=master_seed, max_steps=max_steps, freq_ghz=freq_ghz),
-        state=state,
-    )
-    return SequentialRunResult(
-        result=report.raw,
-        simulated_seconds=report.simulated_seconds,
-        work_units=report.work_units,
-        freq_ghz=freq_ghz,
     )

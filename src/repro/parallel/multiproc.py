@@ -7,19 +7,18 @@ paper: at every step of the top-level game, the lower-level evaluation of
 each candidate move is executed by a pool of worker processes.
 
 Because every worker is a separate OS process with its own interpreter, this
-path is not limited by the GIL (unlike :mod:`repro.parallel.threads`, kept for
-the ablation that quantifies that limitation).  It follows the same seed
-derivation as the sequential algorithm, so — like the simulated cluster — it
-returns exactly the same result as :func:`repro.core.nested.nested_search`
-with the same master seed.
+path is not limited by the GIL (a thread pool is; the GIL ablation in
+``benchmarks/bench_ablation_network_and_gil.py`` measures both).  It follows
+the same seed derivation as the sequential algorithm, so — like the
+simulated cluster — it returns exactly the same result as
+:func:`repro.core.nested.nested_search` with the same master seed.
 
 Positions are shipped to the workers as compact binary wire frames
-(:meth:`repro.games.base.GameState.encode`) through a
-:class:`repro.parallel.pool.PersistentWorkerPool` instead of per-job pickled
-state objects, and moves travel as the game's own move objects; by default
-searches share the process-wide pool
-(:func:`repro.parallel.pool.shared_pool`) — the same workers that run
-process-executor sweeps — so repeated searches reuse the same worker
+(:meth:`repro.games.base.GameState.encode`) through the process-wide
+:class:`repro.parallel.pool.PersistentWorkerPool`
+(:func:`repro.parallel.pool.shared_pool`) instead of per-job pickled state
+objects, and moves travel as the game's own move objects.  The same workers
+run process-executor sweeps, so repeated searches reuse the same worker
 processes instead of forking a fresh pool per call.  Each root step is one
 batch on the pool, so threads running searches on one pool take turns step
 by step, and a worker that dies fails the search with ``RuntimeError``.
@@ -27,18 +26,17 @@ by step, and a worker that dies fails the search with ``RuntimeError``.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.nested import candidate_evaluations
 from repro.core.result import BestTracker, SearchResult
 from repro.games.base import GameState, Move
-from repro.parallel.pool import PersistentWorkerPool, shared_pool
+from repro.parallel.pool import shared_pool
 from repro.prng import SeedSequence
 
-__all__ = ["MultiprocessResult", "multiprocessing_nmcs", "pool_evaluate"]
+__all__ = ["MultiprocessResult", "multiprocessing_nmcs"]
 
 
 @dataclass
@@ -55,35 +53,14 @@ class MultiprocessResult:
         return self.result.score
 
 
-def pool_evaluate(
-    pool: PersistentWorkerPool,
-    state: GameState,
-    level: int,
-    step: int,
-    seeds: SeedSequence,
-) -> List[Tuple[int, float, Tuple[Move, ...]]]:
-    """Evaluate every candidate move of ``state`` in parallel on ``pool``.
-
-    Returns ``(candidate_index, score, sequence)`` triples in candidate order.
-    """
-    evaluations = candidate_evaluations(state, level, step, seeds)
-    if not evaluations:
-        return []
-    outcomes = pool.evaluate_candidates(state, evaluations, level - 1)
-    return [(index, score, sequence) for index, score, sequence, _ in outcomes]
-
-
 def multiprocessing_nmcs(
     state: GameState,
     level: int,
     master_seed: int = 0,
     n_workers: Optional[int] = None,
     max_steps: Optional[int] = None,
-    seed_label: str = "nmcs",
-    start_method: Optional[str] = None,
-    pool: Optional[PersistentWorkerPool] = None,
 ) -> MultiprocessResult:
-    """Root-level parallel NMCS on persistent worker processes.
+    """Root-level parallel NMCS on the shared persistent worker processes.
 
     Parameters
     ----------
@@ -91,48 +68,31 @@ def multiprocessing_nmcs(
         Number of worker processes (defaults to the CPU count).
     max_steps:
         Stop after this many root moves (``1`` = first-move experiment).
-    start_method:
-        ``multiprocessing`` start method.  When given, a dedicated pool with
-        that start method is created for this call; otherwise the
-        process-wide shared pool is used (and kept alive for later calls).
-    pool:
-        An explicit :class:`~repro.parallel.pool.PersistentWorkerPool` to run
-        on (the caller keeps ownership; ``n_workers``/``start_method`` are
-        ignored).
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    seeds = SeedSequence(master_seed, seed_label)
-    own_pool: Optional[PersistentWorkerPool] = None
-    if pool is None:
-        if start_method is not None:
-            pool = own_pool = PersistentWorkerPool(n_workers=n_workers, start_method=start_method)
-        else:
-            pool = shared_pool(n_workers)
+    seeds = SeedSequence(master_seed, "nmcs")
+    pool = shared_pool(n_workers)
     start = time.perf_counter()
     n_evaluations = 0
 
-    try:
-        position = state.copy()
-        best = BestTracker()
-        played: List[Move] = []
-        step = 0
-        while True:
-            outcomes = pool_evaluate(pool, position, level, step, seeds)
-            if not outcomes:
-                break
-            n_evaluations += len(outcomes)
-            for _, score, sequence in outcomes:
-                best.offer(score, tuple(played) + tuple(sequence))
-            chosen = best.moves[len(played)]
-            position.apply(chosen)
-            played.append(chosen)
-            step += 1
-            if max_steps is not None and step >= max_steps:
-                break
-    finally:
-        if own_pool is not None:
-            own_pool.close()
+    position = state.copy()
+    best = BestTracker()
+    played: List[Move] = []
+    step = 0
+    while True:
+        evaluations = candidate_evaluations(position, level, step, seeds)
+        if not evaluations:
+            break
+        n_evaluations += len(evaluations)
+        for _, score, sequence, _ in pool.evaluate_candidates(position, evaluations, level - 1):
+            best.offer(score, tuple(played) + tuple(sequence))
+        chosen = best.moves[len(played)]
+        position.apply(chosen)
+        played.append(chosen)
+        step += 1
+        if max_steps is not None and step >= max_steps:
+            break
 
     if best.has_sequence():
         score, moves = best.best()

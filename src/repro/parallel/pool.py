@@ -126,16 +126,15 @@ class PersistentWorkerPool:
     the same worker processes.
     """
 
-    def __init__(self, n_workers: Optional[int] = None, start_method: Optional[str] = None):
+    def __init__(self, n_workers: Optional[int] = None):
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-        context = multiprocessing.get_context(start_method) if start_method else multiprocessing
-        self._tasks = context.Queue()
-        self._results = context.Queue()
-        self._cancel = context.Event()
+        self._tasks = multiprocessing.Queue()
+        self._results = multiprocessing.Queue()
+        self._cancel = multiprocessing.Event()
         self._workers = [
-            context.Process(
+            multiprocessing.Process(
                 target=_worker_main,
                 args=(self._tasks, self._results, self._cancel),
                 daemon=True,

@@ -92,7 +92,7 @@ def root_process(
     generator's return value) the :class:`SearchResult` of the top-level
     game, exactly like :func:`repro.core.nested.nested_search`.
     """
-    seeds = SeedSequence(config.master_seed, config.seed_label)
+    seeds = SeedSequence(config.master_seed, "nmcs")
     position = state.copy()
     best = BestTracker()
     played: List[Move] = []

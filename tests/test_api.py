@@ -22,14 +22,6 @@ from repro.api import (
     to_jsonable,
 )
 from repro.core.nested import nmcs
-from repro.cluster.topology import homogeneous_cluster
-from repro.parallel.driver import (
-    first_move_experiment,
-    rollout_experiment,
-    sequential_reference,
-)
-from repro.parallel.round_robin import run_round_robin
-from repro.parallel.last_minute import run_last_minute
 from repro.workloads import get_workload
 
 
@@ -81,8 +73,8 @@ class TestSearchSpec:
 
     def test_replace_returns_modified_copy(self):
         spec = SearchSpec(workload="tsp")
-        other = spec.replace(backend="threads", n_workers=2)
-        assert other.backend == "threads" and other.n_workers == 2
+        other = spec.replace(backend="multiprocessing", n_workers=2)
+        assert other.backend == "multiprocessing" and other.n_workers == 2
         assert spec.backend == "sequential"
 
     def test_specs_are_hashable_and_params_read_only(self):
@@ -170,9 +162,7 @@ class TestRegistries:
         assert {"sample", "flat", "nmcs", "reflexive", "iterated", "nrpa"} <= set(
             list_algorithms()
         )
-        assert {"sequential", "sim-cluster", "multiprocessing", "threads"} <= set(
-            list_backends()
-        )
+        assert set(list_backends()) == {"sequential", "sim-cluster", "multiprocessing"}
 
     def test_duplicate_algorithm_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -247,7 +237,7 @@ class TestEngine:
             engine.run(base),
             engine.run(base.replace(backend="sim-cluster", dispatcher="rr", n_clients=4)),
             engine.run(base.replace(backend="sim-cluster", dispatcher="lm", n_clients=4)),
-            engine.run(base.replace(backend="threads", n_workers=2)),
+            engine.run(base.replace(backend="multiprocessing", n_workers=2)),
         ]
         scores = {report.score for report in reports}
         assert len(scores) == 1
@@ -404,53 +394,6 @@ class TestEngine:
             SearchSpec(workload="leftmove", level=1, max_steps=1, units_per_ghz=1e3)
         )
         assert fast.simulated_seconds < slow.simulated_seconds
-
-
-class TestDeprecatedShims:
-    """The pre-API entry points still work and delegate through the Engine."""
-
-    def test_first_move_experiment_delegates(self):
-        workload = get_workload("morpion-small")
-        cluster = homogeneous_cluster(4)
-        with pytest.warns(DeprecationWarning):
-            legacy = first_move_experiment(workload.state(), 2, "rr", cluster, master_seed=0)
-        report = Engine().run(
-            SearchSpec(
-                workload="morpion-small",
-                backend="sim-cluster",
-                dispatcher="rr",
-                level=2,
-                max_steps=1,
-                n_clients=4,
-            )
-        )
-        assert legacy.result.score == report.score
-        assert legacy.result.sequence == report.sequence
-
-    def test_rollout_experiment_still_runs(self):
-        workload = get_workload("leftmove")
-        with pytest.warns(DeprecationWarning):
-            run = rollout_experiment(workload.state(), 2, "lm", homogeneous_cluster(2))
-        assert run.result.score > 0
-
-    def test_sequential_reference_matches_engine(self):
-        workload = get_workload("morpion-small")
-        with pytest.warns(DeprecationWarning):
-            ref = sequential_reference(workload.state(), 2, master_seed=1, max_steps=1)
-        report = Engine().run(
-            SearchSpec(workload="morpion-small", level=2, seed=1, max_steps=1)
-        )
-        assert ref.result.score == report.score
-        assert ref.work_units == report.work_units
-        assert ref.simulated_seconds == pytest.approx(report.simulated_seconds)
-
-    def test_rr_and_lm_front_ends(self):
-        workload = get_workload("leftmove")
-        with pytest.warns(DeprecationWarning):
-            rr = run_round_robin(workload.state(), 2, homogeneous_cluster(2), max_root_steps=1)
-        with pytest.warns(DeprecationWarning):
-            lm = run_last_minute(workload.state(), 2, homogeneous_cluster(2), max_root_steps=1)
-        assert rr.result.score == lm.result.score
 
 
 class TestToJsonable:

@@ -17,7 +17,7 @@ class TestParser:
     def test_known_commands_parse(self):
         parser = build_parser()
         for argv in (
-            ["workloads"],
+            ["list"],
             ["nmcs", "--workload", "weakschur", "--level", "1"],
             ["table1", "--levels", "1", "2"],
             ["table2", "--clients", "1", "4"],
@@ -30,10 +30,18 @@ class TestParser:
         ):
             assert parser.parse_args(argv) is not None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["nmcs", "--levels", "3"], ["figure1", "--levels", "3"], ["workloads"]],
+    )
+    def test_flags_and_commands_nothing_reads_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_workloads_lists_everything(self, capsys):
-        assert main(["workloads"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "morpion-bench" in out and "weakschur" in out
 
@@ -247,7 +255,7 @@ class TestJsonOutput:
     """Every table/figure command emits machine-readable output with --json."""
 
     def test_workloads_json(self, capsys):
-        assert main(["workloads", "--json"]) == 0
+        assert main(["list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "sop" in payload["workloads"] and "leftmove" in payload["workloads"]
         assert "nmcs" in payload["algorithms"] and "sim-cluster" in payload["backends"]

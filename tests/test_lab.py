@@ -303,7 +303,7 @@ class TestBatchLayer:
         engine = Engine()
         specs = [
             BASE,
-            SearchSpec(workload="leftmove", backend="threads", level=0, max_steps=1),  # needs >=1
+            SearchSpec(workload="leftmove", backend="multiprocessing", level=0, max_steps=1),  # needs >=1
             BASE.replace(seed=1),
         ]
         with pytest.raises(ValueError, match="level >= 1"):

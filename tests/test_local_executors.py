@@ -1,4 +1,4 @@
-"""Tests for the real (non-simulated) local executors: multiprocessing and threads."""
+"""Tests for the real (non-simulated) local executor: root-level NMCS on worker processes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.core.nested import nested_search
 from repro.games.weakschur import WeakSchurState
 from repro.parallel.multiproc import multiprocessing_nmcs
-from repro.parallel.threads import threaded_nmcs
 from repro.prng import SeedSequence
 
 
@@ -40,24 +39,3 @@ class TestMultiprocessing:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             multiprocessing_nmcs(small_state(), 0)
-
-
-class TestThreads:
-    def test_matches_sequential_result(self):
-        state = small_state()
-        sequential = nested_search(state, 1, SeedSequence(6, "nmcs"))
-        threaded = threaded_nmcs(state, 1, master_seed=6, n_workers=3)
-        assert threaded.result.score == sequential.score
-        assert threaded.result.sequence == sequential.sequence
-
-    def test_terminal_start(self):
-        state = WeakSchurState(k=1, limit=1)
-        state.apply(0)
-        result = threaded_nmcs(state, 1, master_seed=0)
-        assert result.result.sequence == ()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            threaded_nmcs(small_state(), 0)
-        with pytest.raises(ValueError):
-            threaded_nmcs(small_state(), 1, n_workers=0)

@@ -12,12 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.commpattern import analyze_communications, verify_pattern
+from repro.api import Engine, SearchSpec
 from repro.cluster.network import NetworkModel
 from repro.cluster.topology import heterogeneous_cluster, homogeneous_cluster
 from repro.games.morpion.geometry import cross_points
 from repro.games.morpion.state import MorpionState
 from repro.parallel.config import DispatcherKind, ParallelConfig
-from repro.parallel.driver import run_parallel_nmcs, sequential_reference
+from repro.parallel.driver import run_parallel_nmcs
 from repro.parallel.jobs import CachingJobExecutor
 from repro.timemodel.cost import CostModel
 
@@ -60,8 +61,8 @@ class TestSpeedup:
         assert t1 / t16 > 4.0  # clearly super-unitary speedup at 16 clients
 
     def test_single_client_close_to_sequential(self, shared_executor):
-        sequential = sequential_reference(
-            bench_state(), 2, master_seed=3, max_steps=1, cost_model=SLOW_COST_MODEL
+        sequential = Engine(cost_model=SLOW_COST_MODEL).run(
+            SearchSpec(level=2, seed=3, max_steps=1), state=bench_state()
         )
         parallel = run_first_move("rr", homogeneous_cluster(1), shared_executor)
         # One client does all the client work sequentially, so the simulated

@@ -113,6 +113,17 @@ class TestDeterminism:
         assert proc.score == serial.score
         assert proc.simulated_seconds == serial.simulated_seconds
 
+    def test_process_reports_carry_rendered_move_strings(self):
+        """A worker's report is rebuilt with ``RunReport.from_dict``, so its
+        in-memory sequence is the serial report's rendered form."""
+        specs = [GRID.base.replace(seed=s, backend="sequential") for s in range(3)]
+        serial = Engine().run_many(specs)
+        procs = Engine().run_many(specs, executor="process", max_workers=2)
+        assert len(procs) == len(serial) == len(specs)
+        for serial_report, proc_report in zip(serial, procs):
+            assert list(proc_report.sequence) == serial_report.to_dict()["sequence"]
+            assert all(isinstance(move, str) for move in proc_report.sequence)
+
 
 class TestEventContract:
     def test_started_precedes_terminal_and_progress_counts(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Engine, SearchSpec
 from repro.experiments import (
     calibrated_cost_model,
     run_client_sweep,
@@ -172,10 +173,7 @@ class TestExperimentRunners:
         model = calibrated_cost_model("weakschur", master_seed=0, reference_seconds=483.0)
         # The calibration target: the low-level first move takes 483 simulated
         # seconds on a 1.86 GHz node (paper Table I, level 3).
-        from repro.parallel.driver import sequential_reference
-        from repro.workloads import get_workload
-
-        reference = sequential_reference(
-            get_workload("weakschur").state(), 2, master_seed=0, max_steps=1, cost_model=model
+        reference = Engine(cost_model=model).run(
+            SearchSpec(level=2, seed=0, max_steps=1), state=get_workload("weakschur").state()
         )
         assert reference.simulated_seconds == pytest.approx(483.0, rel=1e-6)
