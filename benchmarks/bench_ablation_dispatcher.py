@@ -1,4 +1,4 @@
-"""Ablations of the Last-Minute dispatcher design (DESIGN.md §5).
+"""Ablations of the Last-Minute dispatcher design (paper Section IV-B).
 
 1. **Job ordering** — the paper orders pending jobs by the smallest number of
    moves played (longest expected remaining computation first).  The ablation

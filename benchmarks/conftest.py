@@ -1,19 +1,15 @@
 """Shared fixtures for the benchmark harness.
 
-All cluster-scale benchmarks share one :class:`CachingJobExecutor` and one
-calibrated cost model so that every search job of the common workload is
-executed exactly once per benchmark session, however many tables ask for it
-(the paper's Tables II, IV and VI all reuse the same first-move workload, and
-Tables III and V share the rollout workload).
+The cluster-scale benchmarks share one :class:`CachingJobExecutor` and one
+calibrated cost model, so that every search job of the common workload is
+executed once per benchmark session however many benchmarks ask for it.
 
 Environment knobs
 -----------------
 ``REPRO_BENCH_WORKLOAD``  (default ``morpion-small``)
     Which named workload the cluster benchmarks run on.
-``REPRO_BENCH_FULL=1``
-    Also run the expensive high-level rollout columns (Tables III and V at the
-    high nesting level).  Off by default to keep the default benchmark run in
-    the minutes range.
+``REPRO_BENCH_SEED``  (default ``0``)
+    The master seed of every benchmark search.
 """
 
 from __future__ import annotations
@@ -23,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import calibrated_cost_model
-from repro.lab import ResultStore
+from repro.paper import calibrated_cost_model
 from repro.parallel.jobs import CachingJobExecutor
 from repro.workloads import get_workload
 
@@ -32,7 +27,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Paper columns: the scaled workload's low/high levels stand in for levels 3/4.
 BENCH_WORKLOAD_NAME = os.environ.get("REPRO_BENCH_WORKLOAD", "morpion-small")
-FULL_BENCH = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 MASTER_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 
 
@@ -55,23 +49,15 @@ def bench_cost_model(bench_workload):
 
 
 @pytest.fixture(scope="session")
-def bench_store(tmp_path_factory):
-    """A fresh per-session ResultStore shared by the sweep benchmarks.
-
-    Fresh (not persistent across sessions) on purpose: the benchmarks measure
-    execution, and a pre-populated store would time cache lookups instead.
-    Within the session it makes every sweep cell durable, so overlapping
-    tables and re-parameterised runs never recompute a cell.
-    """
-    return ResultStore(tmp_path_factory.mktemp("result-store"))
-
-
-@pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 
 
 def write_result(results_dir: Path, name: str, text: str) -> None:
-    """Persist a rendered table next to the benchmarks for EXPERIMENTS.md."""
+    """Persist a benchmark's rendered output under ``benchmarks/results/``.
+
+    The paper's own tables and figures are in the ``paper.md`` that
+    ``repro paper`` writes; ``bench_paper.py`` copies it here.
+    """
     (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")

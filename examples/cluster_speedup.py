@@ -11,34 +11,38 @@ Run with:  python examples/cluster_speedup.py
 
 from __future__ import annotations
 
-from repro import CachingJobExecutor
+from repro import Engine
+from repro.analysis.speedup import speedup_table
+from repro.analysis.tables import pivot_table
 from repro.analysis.timefmt import format_hms
-from repro.experiments import calibrated_cost_model, run_client_sweep
+from repro.lab import rows_from_reports
+from repro.paper import calibrated_cost_model, paper_sweeps
 from repro.workloads import get_workload
 
 
 def main() -> None:
     workload = get_workload("morpion-small")
-    # run_client_sweep drives every cell through repro.api (one SearchSpec per
-    # cluster size on a shared Engine); the caching executor makes the whole
-    # sweep execute each search job exactly once.
-    executor = CachingJobExecutor()
-    cost_model = calibrated_cost_model(workload, master_seed=0)
+    # paper_sweeps builds each table as one SweepSpec; the engine's job cache
+    # makes both tables execute each search job exactly once.
+    engine = Engine(cost_model=calibrated_cost_model(workload, master_seed=0))
+    sweeps = paper_sweeps(workload.name, [workload.low_level], seed=0)
 
-    for dispatcher in ("rr", "lm"):
-        sweep = run_client_sweep(
-            dispatcher,
-            experiment="first_move",
-            workload=workload,
-            levels=[workload.low_level],
-            client_counts=[1, 4, 8, 16, 32, 64],
-            master_seed=0,
-            executor=executor,
-            cost_model=cost_model,
+    for name, title in (("table2", "Round-Robin"), ("table4", "Last-Minute")):
+        rows = rows_from_reports(engine.run_many(sweeps[name]))
+        print(
+            pivot_table(
+                rows,
+                title=f"First move times for the {title} algorithm",
+                index="n_clients",
+                column="level",
+                value="simulated_seconds",
+                row_label="clients",
+                fmt=format_hms,
+                column_fmt=lambda level: f"level {level}",
+            ).render()
         )
-        print(sweep.render())
-        level = workload.low_level
-        print("speedups:", ", ".join(f"{c}: {s:.1f}x" for c, s in sweep.speedups[level].items()))
+        speedups = speedup_table({row["n_clients"]: row["simulated_seconds"] for row in rows})
+        print("speedups:", ", ".join(f"{c}: {s:.1f}x" for c, s in speedups.items()))
         print()
 
     print(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro import Engine, SearchSpec
 from repro.analysis.timefmt import format_hms
-from repro.experiments import calibrated_cost_model
+from repro.paper import calibrated_cost_model
 from repro.workloads import get_workload
 
 

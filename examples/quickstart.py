@@ -53,7 +53,7 @@ def main() -> None:
     # The unified API: one spec per scenario, one field per difference.  The
     # calibrated cost model puts the scaled workload on the paper's timescale
     # (without it the demo-sized jobs are dominated by simulated latency).
-    from repro.experiments import calibrated_cost_model
+    from repro.paper import calibrated_cost_model
 
     engine = Engine(cost_model=calibrated_cost_model("morpion-small"))
     spec = SearchSpec(workload="morpion-small", algorithm="nmcs", max_steps=1)

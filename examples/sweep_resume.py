@@ -19,7 +19,7 @@ from pathlib import Path
 from repro import Engine, ResultStore, SearchSpec, SweepSpec
 from repro.analysis.tables import pivot_table
 from repro.analysis.timefmt import format_hms
-from repro.experiments import calibrated_cost_model
+from repro.paper import calibrated_cost_model
 from repro.lab import rows_from_reports, write_csv
 
 STORE_DIR = Path(tempfile.gettempdir()) / "repro-sweep-demo"

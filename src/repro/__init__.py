@@ -18,9 +18,11 @@ The library is organised as:
 * :mod:`repro.parallel` — the paper's parallel algorithms (root / median /
   dispatcher / client roles, Round-Robin and Last-Minute dispatching) plus
   the real local executor on worker processes;
+* :mod:`repro.paper` — the paper as data: one sweep per table, the published
+  numbers beside ours and an automatic fidelity check (``repro paper``);
 * :mod:`repro.timemodel`, :mod:`repro.analysis`, :mod:`repro.paperdata`,
-  :mod:`repro.workloads` — cost model, reporting and the benchmark harness
-  support code;
+  :mod:`repro.workloads` — cost model, reporting, the published numbers of
+  Tables I–VI and the named workloads;
 * :mod:`repro.service` — search-as-a-service: a job server multiplexing
   client submissions onto the Engine with queueing, dedup (store + in-flight),
   rate limiting and a JSONL socket protocol (``repro serve``);
@@ -38,7 +40,7 @@ sequential baseline, the simulated cluster (Round-Robin or Last-Minute) and
 the local process pool (see ``docs/API.md`` for the full tour):
 
 >>> from repro import Engine, SearchSpec
->>> from repro.experiments import calibrated_cost_model
+>>> from repro.paper import calibrated_cost_model
 >>> engine = Engine(cost_model=calibrated_cost_model("morpion-small"))
 >>> spec = SearchSpec(workload="morpion-small", algorithm="nmcs", max_steps=1)
 >>> sequential = engine.run(spec)

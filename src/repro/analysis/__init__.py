@@ -1,21 +1,15 @@
-"""Analysis and reporting: paper-style time formatting, statistics, speedups,
-table rendering and the communication-pattern queries behind Figures 2–5."""
+"""Analysis and reporting: paper-style time formatting, speedups, table
+rendering and the communication-pattern queries behind Figures 2–5."""
 
 from repro.analysis.timefmt import format_hms, parse_hms
-from repro.analysis.stats import mean, std, summarize, Summary
-from repro.analysis.speedup import speedup, efficiency, speedup_table
+from repro.analysis.speedup import speedup, speedup_table
 from repro.analysis.tables import Table, render_table
 from repro.analysis.commpattern import CommunicationSummary, analyze_communications
 
 __all__ = [
     "format_hms",
     "parse_hms",
-    "mean",
-    "std",
-    "summarize",
-    "Summary",
     "speedup",
-    "efficiency",
     "speedup_table",
     "Table",
     "render_table",

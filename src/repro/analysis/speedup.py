@@ -1,16 +1,15 @@
-"""Speedup and efficiency computations.
+"""Speedup computations.
 
 The paper's headline numbers are speedups: "the speedup of the algorithm for
-64 clients is 56", corrected for cluster heterogeneity by the mean-frequency
-ratio ``r = 1.09`` (Section V).  These helpers compute the same quantities
+64 clients is 56" (Section V).  These helpers compute the same quantities
 from measured or simulated durations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping
 
-__all__ = ["speedup", "efficiency", "frequency_corrected_speedup", "speedup_table"]
+__all__ = ["speedup", "speedup_table"]
 
 
 def speedup(baseline_seconds: float, parallel_seconds: float) -> float:
@@ -18,27 +17,6 @@ def speedup(baseline_seconds: float, parallel_seconds: float) -> float:
     if baseline_seconds < 0 or parallel_seconds <= 0:
         raise ValueError("durations must be positive")
     return baseline_seconds / parallel_seconds
-
-
-def efficiency(baseline_seconds: float, parallel_seconds: float, n_workers: int) -> float:
-    """Parallel efficiency: speedup divided by the number of workers."""
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    return speedup(baseline_seconds, parallel_seconds) / n_workers
-
-
-def frequency_corrected_speedup(
-    baseline_seconds: float, parallel_seconds: float, frequency_ratio: float
-) -> float:
-    """Speedup divided by the heterogeneity ratio ``r`` (paper Section V).
-
-    The paper's 64-client measurement mixes 1.86 GHz and 2.33 GHz PCs while
-    the 1-client baseline ran on a 1.86 GHz PC, so the raw speedup of 56 is
-    corrected to 56 / 1.09 ≈ 51.
-    """
-    if frequency_ratio <= 0:
-        raise ValueError("frequency_ratio must be positive")
-    return speedup(baseline_seconds, parallel_seconds) / frequency_ratio
 
 
 def speedup_table(

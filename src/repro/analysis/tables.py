@@ -1,8 +1,8 @@
 """Plain-text table rendering in the style of the paper's Tables I–VI.
 
-The benchmark harness builds :class:`Table` objects (row label + one cell per
-column) and renders them with :func:`render_table`; cells are typically the
-``mean (std)`` strings produced by :class:`repro.analysis.stats.Summary`.
+A :class:`Table` is a row label plus one cell per column, rendered by
+:func:`render_table`; cells are preformatted strings such as the paper-style
+durations of :func:`repro.analysis.timefmt.format_hms`.
 
 :func:`pivot_table` builds a :class:`Table` straight from the flat rows that
 :mod:`repro.lab.export` produces, so sweep results render as paper-style

@@ -370,9 +370,10 @@ class RunReport:
 
         The round-trip is exact for every numeric/count field; ``sequence``
         comes back as the rendered move strings (``to_dict`` serialises moves
-        with ``repr``), so callers needing replayable ``Move`` objects must
-        re-run the spec instead.  ``raw`` attaches provenance (e.g. the store
-        record or wire message the report was decoded from).
+        with ``repr``), which :func:`repro.games.base.play_sequence` still
+        replays by matching them to the legal moves.  ``raw`` attaches
+        provenance (e.g. the store record or wire message the report was
+        decoded from).
         """
         return cls(
             spec=SearchSpec.from_dict(data["spec"]),

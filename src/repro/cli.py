@@ -1,9 +1,9 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-The CLI exposes the experiment runners of :mod:`repro.experiments` so that
-every table and figure of the paper can be regenerated from a shell, plus the
-unified scenario runner (``repro run``) built on :mod:`repro.api` and a few
-utilities (sequential searches, workload listing, the record hunt).
+The CLI exposes the unified scenario runner (``repro run``) built on
+:mod:`repro.api`, declarative sweeps (``repro sweep``), the job service,
+the rollout profiler, and ``repro paper``, which regenerates every table and
+figure of the paper (:mod:`repro.paper`).
 
 Examples
 --------
@@ -24,16 +24,18 @@ Run a declarative sweep grid against a durable, resumable result store
 
     python -m repro sweep --spec sweep.json --store results/store
 
-Regenerate Table II (Round-Robin, first move) at the default scale::
+Regenerate Tables I–VI and Figures 1–5 into ``results/paper`` (CSVs, a
+``paper.md`` with the published numbers beside ours, and a fidelity check;
+re-running executes no table cell)::
 
-    python -m repro table2 --clients 1 4 8 16 32 64
+    python -m repro paper --out results/paper
 
 Run a sequential NMCS on the scaled Morpion board::
 
     python -m repro nmcs --workload morpion-bench --level 2 --seed 3
 
-Every table/figure command accepts ``--json`` to emit the raw measurement
-payload instead of the rendered table, so pipelines never scrape tables.
+Commands accept ``--json`` to emit a machine-readable payload instead of
+rendered text, so pipelines never scrape tables.
 """
 
 from __future__ import annotations
@@ -53,14 +55,6 @@ from repro.api import (
     SearchSpec,
     to_jsonable,
 )
-from repro.experiments import (
-    DEFAULT_CLIENT_COUNTS,
-    run_client_sweep,
-    run_figure1_record,
-    run_figure_communications,
-    run_table1_sequential,
-    run_table6_heterogeneous,
-)
 from repro.lab import (
     ROW_FIELDS,
     ResultStore,
@@ -71,8 +65,6 @@ from repro.lab import (
 )
 from repro.games.morpion.render import render_state
 from repro.games.morpion.state import MorpionState
-from repro.parallel.config import DispatcherKind
-from repro.parallel.jobs import CachingJobExecutor
 from repro.workloads import get_workload, list_workloads
 
 __all__ = ["main", "build_parser"]
@@ -93,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workload", default=default_workload, help="named workload (see 'list')")
         p.add_argument("--seed", type=int, default=0, help="master random seed")
         add_json(p)
-
-    def add_levels(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--levels", type=int, nargs="*", default=None, help="nesting levels to run")
 
     # Scenario flags use SUPPRESS defaults so that "explicitly passed" can be
     # told apart from "omitted": with --spec, only passed flags override the
@@ -258,39 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=None, help="nesting level (default: workload low level)")
     p.add_argument("--render", action="store_true", help="render the final Morpion grid")
 
-    p = sub.add_parser("table1", help="Table I: sequential first-move and rollout times")
-    add_common(p)
-    add_levels(p)
-
-    for number, (dispatcher, experiment) in {
-        "table2": ("rr", "first_move"),
-        "table3": ("rr", "rollout"),
-        "table4": ("lm", "first_move"),
-        "table5": ("lm", "rollout"),
-    }.items():
-        p = sub.add_parser(
-            number,
-            help=f"Table {number[-1].upper()}: {dispatcher.upper()} {experiment.replace('_', ' ')} client sweep",
-        )
-        add_common(p)
-        add_levels(p)
-        p.add_argument("--clients", type=int, nargs="*", default=list(DEFAULT_CLIENT_COUNTS))
-        p.set_defaults(dispatcher=dispatcher, experiment=experiment)
-
-    p = sub.add_parser("table6", help="Table VI: LM vs RR on heterogeneous clusters")
-    add_common(p)
-    add_levels(p)
-
-    p = sub.add_parser("figures2-5", help="Figures 2-5: communication-pattern analysis")
+    p = sub.add_parser(
+        "paper", help="regenerate Tables I-VI and Figures 1-5 into DIR and check them against the paper"
+    )
+    p.add_argument("--out", required=True, metavar="DIR", help="output directory (raw/ store, CSVs, paper.md)")
     add_common(p, default_workload="morpion-small")
-    add_levels(p)
-    p.add_argument("--clients", type=int, default=8)
-
-    p = sub.add_parser("figure1", help="Figure 1: search for a long Morpion sequence and render it")
-    add_common(p, default_workload="morpion-4d")
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--clients", type=int, default=16)
-    p.add_argument("--sequential", action="store_true", help="use the sequential search instead of the cluster")
+    p.add_argument(
+        "--levels",
+        type=int,
+        nargs="+",
+        default=None,
+        help="nesting levels, each >= 2 (default: the workload's low and high level)",
+    )
 
     return parser
 
@@ -507,6 +475,29 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             f"cached: {counts['cached']}  failed: {counts['failed']}"
         )
     return 1 if counts["failed"] else 0
+
+
+def _paper_command(args: argparse.Namespace) -> int:
+    """The ``repro paper`` command: exit 0 when every evaluated claim holds, 1 when one fails."""
+    from repro.paper import run_paper
+
+    try:
+        run = run_paper(args.out, workload=args.workload, levels=args.levels, seed=args.seed)
+    except (ValueError, KeyError, OSError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        _print_error(f"error: {message}")
+        return 2
+    if args.json:
+        _print_json(
+            {
+                "levels": run.levels,
+                "claims": [claim._asdict() for claim in run.claims],
+                "paths": [str(path) for path in run.paths],
+            }
+        )
+    else:
+        _print(run.paths[-1].read_text(encoding="utf-8").rstrip("\n"))
+    return 1 if any(claim.holds is False for claim in run.claims) else 0
 
 
 def _serve_command(args: argparse.Namespace) -> int:
@@ -871,6 +862,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "sweep":
         return _run_sweep_command(args)
 
+    if args.command == "paper":
+        return _paper_command(args)
+
     if args.command == "nmcs":
         workload = get_workload(args.workload)
         level = args.level if args.level is not None else workload.low_level
@@ -888,84 +882,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print(f"work:  {result.work.moves} move applications, {result.work.playouts} playouts")
         if args.render and isinstance(state, MorpionState):
             _print(render_state(result.final_state(state)))
-        return 0
-
-    if args.command == "table1":
-        experiment = run_table1_sequential(args.workload, levels=args.levels, master_seed=args.seed)
-        if args.json:
-            _print_json(experiment.json_payload())
-            return 0
-        _print(experiment.render())
-        ratios = experiment.data["ratios"]
-        for name, value in ratios.items():
-            _print(f"{name}: {value:.1f}x")
-        return 0
-
-    if args.command in ("table2", "table3", "table4", "table5"):
-        executor = CachingJobExecutor()
-        sweep = run_client_sweep(
-            args.dispatcher,
-            experiment=args.experiment,
-            workload=args.workload,
-            levels=args.levels,
-            client_counts=args.clients,
-            master_seed=args.seed,
-            executor=executor,
-        )
-        if args.json:
-            _print_json(sweep.json_payload())
-            return 0
-        _print(sweep.render())
-        for level, table in sweep.speedups.items():
-            if table:
-                rendered = ", ".join(f"{c}: {s:.1f}x" for c, s in table.items())
-                _print(f"speedups (level {level}): {rendered}")
-        return 0
-
-    if args.command == "table6":
-        experiment = run_table6_heterogeneous(args.workload, levels=args.levels, master_seed=args.seed)
-        if args.json:
-            _print_json(experiment.json_payload())
-            return 0
-        _print(experiment.render())
-        for name, value in experiment.data["advantages"].items():
-            _print(f"{name}: RR/LM = {value:.2f}")
-        return 0
-
-    if args.command == "figures2-5":
-        payloads = []
-        for dispatcher in (DispatcherKind.ROUND_ROBIN, DispatcherKind.LAST_MINUTE):
-            experiment = run_figure_communications(
-                dispatcher,
-                workload=args.workload,
-                level=None if not args.levels else args.levels[0],
-                n_clients=args.clients,
-                master_seed=args.seed,
-            )
-            if args.json:
-                payloads.append({"dispatcher": dispatcher.value, **experiment.json_payload()})
-                continue
-            _print(experiment.render())
-            violations = experiment.data["violations"]
-            _print("pattern check: " + ("OK" if not violations else "; ".join(violations)))
-            _print("")
-        if args.json:
-            _print_json(payloads)
-        return 0
-
-    if args.command == "figure1":
-        experiment = run_figure1_record(
-            workload=args.workload,
-            level=args.level,
-            n_clients=args.clients,
-            master_seed=args.seed,
-            use_parallel=not args.sequential,
-        )
-        if args.json:
-            _print_json(experiment.json_payload())
-            return 0
-        _print(experiment.render())
-        _print(experiment.data["grid"])
         return 0
 
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover

@@ -10,9 +10,8 @@ step it commits to the move whose lower-level search scored best *at that
 step*, even if an earlier step had already discovered a better complete
 sequence.
 
-Keeping both algorithms in the library lets the ablation benchmarks measure
-how much the best-sequence memorisation of NMCS contributes — one of the
-design points highlighted in DESIGN.md.
+Keeping both algorithms in the library isolates what the best-sequence
+memorisation of NMCS contributes: it is the only step in which they differ.
 """
 
 from __future__ import annotations

@@ -283,11 +283,15 @@ def play_sequence(state: GameState, moves: Iterable[Move]) -> GameState:
     """Return a copy of ``state`` after playing every move of ``moves``.
 
     Raises ``ValueError`` if a move is illegal at the point it is played; this
-    is the integrity check used by the tests ("every result replays").
+    is the integrity check used by the tests ("every result replays").  A move
+    given as a ``str`` is matched against the ``repr`` of the legal moves, so
+    the rendered sequences of stored reports replay too.
     """
     current = state.copy()
     for i, move in enumerate(moves):
         legal = current.legal_moves()
+        if isinstance(move, str):
+            move = next((m for m in legal if repr(m) == move), move)
         if move not in legal:
             raise ValueError(
                 f"move #{i} ({move!r}) is illegal at that point "

@@ -1,8 +1,9 @@
 """Reference scores for Morpion Solitaire (disjoint / 5D version).
 
 These are the scores quoted in the paper (Sections I and V) and are used by
-EXPERIMENTS.md and the record-hunt example to put the scores found by this
-reproduction into context.  They are *reference data*, not something the
+the Figure 1 section of the ``paper.md`` that ``repro paper`` writes, and by
+the record-hunt example, to put the scores found by this reproduction into
+context.  They are *reference data*, not something the
 library claims to reach on a laptop: the paper's 80-move sequences required a
 level-4 nested search running for days on a 64-core cluster.
 """

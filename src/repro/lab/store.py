@@ -19,8 +19,8 @@ record to poison a resume.
 A record keeps the spec, the report's serialised form and provenance
 (salt, creation time, library version).  Reports loaded back carry rendered
 move strings rather than live ``Move`` objects — scores, times and counters
-round-trip exactly; callers that need replayable sequences re-run without a
-store.
+round-trip exactly, and :func:`repro.games.base.play_sequence` replays the
+strings.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Every duration quoted in Section V of the paper is recorded here in seconds,
 with the standard deviation when the paper gives one and ``single_run=True``
-for the parenthesised single-run entries.  EXPERIMENTS.md and the benchmark
-harness use these values to compare the *shape* of our simulated results
-(speedups, RR-vs-LM orderings, level ratios) against the published numbers —
-never the absolute seconds, which belong to the authors' C + MPI code and
-hardware.
+for the parenthesised single-run entries.  ``repro paper`` prints these
+values beside the reproduced tables in its ``paper.md``; its fidelity check
+compares the *shape* of our simulated results (speedups, RR-vs-LM orderings,
+level ratios) with the paper's — never the absolute seconds, which belong to
+the authors' C + MPI code and hardware.
 """
 
 from __future__ import annotations

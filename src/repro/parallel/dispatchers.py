@@ -80,8 +80,9 @@ def last_minute_dispatcher(
     moves played (longest expected remaining computation), or park the client.
     On a median request: hand out a free client, or queue the job.
 
-    ``fifo_jobs`` is the ablation switch of DESIGN.md: when True, pending jobs
-    are served in arrival order instead of longest-expected-first.
+    ``fifo_jobs`` is the ablation switch that
+    ``benchmarks/bench_ablation_dispatcher.py`` measures: when True, pending
+    jobs are served in arrival order instead of longest-expected-first.
     """
     if not client_names:
         raise ValueError("the dispatcher needs at least one client")

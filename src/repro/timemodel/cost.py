@@ -16,13 +16,13 @@ The default rate is chosen so that a *standard 5D Morpion* level-3 "first
 move" search — about 170 million move applications when run with this
 library's playout statistics — takes roughly the 8 minutes the paper reports
 on a single 1.86 GHz core (Table I).  The absolute value is irrelevant for
-every speedup reported in EXPERIMENTS.md (speedups are time ratios on the
-same workload), but keeping the calibrated figure makes the simulated tables
-read on the same scale as the paper's.
+every speedup in the ``paper.md`` that ``repro paper`` writes (speedups are
+time ratios on the same workload), but keeping the calibrated figure makes
+the simulated tables read on the same scale as the paper's.
 
 :func:`calibrate_from_reference` recalibrates the rate from any measured
 (work, reference-seconds, frequency) triple, e.g. from the sequential Table I
-run of the benchmark harness.
+run (:func:`repro.paper.calibrated_cost_model`).
 """
 
 from __future__ import annotations

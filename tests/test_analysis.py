@@ -1,17 +1,11 @@
-"""Tests for the analysis helpers (time formatting, stats, speedups, tables)."""
+"""Tests for the analysis helpers (time formatting, speedups, tables)."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.speedup import (
-    efficiency,
-    frequency_corrected_speedup,
-    speedup,
-    speedup_table,
-)
-from repro.analysis.stats import Summary, mean, std, summarize
+from repro.analysis.speedup import speedup, speedup_table
 from repro.analysis.tables import Table
 from repro.analysis.timefmt import format_hms, parse_hms
 
@@ -57,34 +51,9 @@ class TestTimeFormat:
         assert abs(parse_hms(format_hms(seconds)) - seconds) < 60
 
 
-class TestStats:
-    def test_mean_std(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-        assert std([2.0, 2.0, 2.0]) == 0.0
-        assert std([5.0]) == 0.0
-        assert std([0.0, 2.0]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
-        with pytest.raises(ValueError):
-            std([])
-
-    def test_summary_paper_style(self):
-        summary = summarize([100.0, 120.0, 110.0])
-        assert summary.n == 3
-        assert "(" in summary.paper_style()
-        single = summarize([7800.0])
-        assert single.paper_style() == "(2h10m00s)"
-
-
 class TestSpeedup:
     def test_speedup_and_efficiency(self):
         assert speedup(100.0, 25.0) == 4.0
-        assert efficiency(100.0, 25.0, 8) == 0.5
-
-    def test_frequency_corrected(self):
-        assert frequency_corrected_speedup(560.0, 10.0, 1.09) == pytest.approx(56 / 1.09)
 
     def test_speedup_table(self):
         table = speedup_table({1: 100.0, 4: 25.0, 8: 12.5})
@@ -99,10 +68,6 @@ class TestSpeedup:
             speedup(-1.0, 1.0)
         with pytest.raises(ValueError):
             speedup(1.0, 0.0)
-        with pytest.raises(ValueError):
-            efficiency(1.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            frequency_corrected_speedup(1.0, 1.0, 0.0)
 
 
 class TestTable:

@@ -19,12 +19,7 @@ class TestParser:
         for argv in (
             ["list"],
             ["nmcs", "--workload", "weakschur", "--level", "1"],
-            ["table1", "--levels", "1", "2"],
-            ["table2", "--clients", "1", "4"],
-            ["table5", "--clients", "1"],
-            ["table6"],
-            ["figures2-5", "--clients", "4"],
-            ["figure1", "--sequential"],
+            ["paper", "--out", "results", "--workload", "leftmove", "--levels", "2", "3"],
             ["run", "--workload", "leftmove", "--backend", "sim-cluster", "--first-move"],
             ["run", "--spec", "scenario.json", "--json"],
         ):
@@ -32,7 +27,15 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [["nmcs", "--levels", "3"], ["figure1", "--levels", "3"], ["workloads"]],
+        [
+            ["nmcs", "--levels", "3"],
+            ["paper", "--out", "d", "--clients", "8"],
+            ["workloads"],
+            # `repro paper` regenerates every table and figure.
+            *([name] for name in ("table1", "table2", "table3", "table4", "table5", "table6")),
+            ["figures2-5"],
+            ["figure1"],
+        ],
     )
     def test_flags_and_commands_nothing_reads_are_rejected(self, argv):
         with pytest.raises(SystemExit):
@@ -55,34 +58,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "o" in out
 
-    def test_table1_command(self, capsys):
-        assert main(["table1", "--workload", "weakschur", "--levels", "1", "2"]) == 0
+    def test_paper_command(self, tmp_path, capsys):
+        # leftmove is too small for the 64-client speedup bounds: exit 1.
+        argv = ["paper", "--out", str(tmp_path), "--workload", "leftmove", "--levels", "2"]
+        assert main(argv) == 1
         out = capsys.readouterr().out
-        assert "Table I" in out
-        assert "rollout_over_first_move" in out
+        assert "Table II — first move times for the Round-Robin algorithm" in out
+        assert "paper level 4" in out and "Figures 2–5" in out
+        assert out.rstrip().endswith("27 claims: 16 hold, 4 fail, 7 n/a.")
+        assert out == (tmp_path / "paper.md").read_text(encoding="utf-8")
 
-    def test_table2_command_small(self, capsys):
-        assert main(
-            ["table2", "--workload", "weakschur", "--levels", "2", "--clients", "1", "4"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Round-Robin" in out
-        assert "speedups" in out
-
-    def test_table6_command_small(self, capsys):
-        assert main(["table6", "--workload", "weakschur", "--levels", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "heterogeneous" in out
-
-    def test_figures_command(self, capsys):
-        assert main(["figures2-5", "--workload", "weakschur", "--levels", "2", "--clients", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "pattern check: OK" in out
-
-    def test_figure1_sequential(self, capsys):
-        assert main(["figure1", "--workload", "morpion-small", "--level", "1", "--sequential"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 1" in out
+    def test_paper_rejects_a_level_below_two(self, tmp_path, capsys):
+        argv = ["paper", "--out", str(tmp_path), "--workload", "leftmove", "--levels", "1", "2"]
+        assert main(argv) == 2
+        assert "level >= 2" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestRunCommand:
@@ -252,7 +242,7 @@ class TestSweepCommand:
 
 
 class TestJsonOutput:
-    """Every table/figure command emits machine-readable output with --json."""
+    """Commands emit machine-readable output with --json."""
 
     def test_workloads_json(self, capsys):
         assert main(["list", "--json"]) == 0
@@ -265,35 +255,18 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["algorithm"] == "nmcs"
 
-    def test_table1_json(self, capsys):
-        assert main(["table1", "--workload", "weakschur", "--levels", "1", "2", "--json"]) == 0
+    def test_paper_json(self, tmp_path, capsys):
+        argv = ["paper", "--out", str(tmp_path), "--workload", "leftmove", "--levels", "2", "--json"]
+        assert main(argv) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert "ratios" in payload["data"]
-
-    def test_table2_json(self, capsys):
-        assert main(
-            ["table2", "--workload", "weakschur", "--levels", "2", "--clients", "1", "4", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["times"]["2"]["1"] >= payload["times"]["2"]["4"]
-        assert payload["speedups"]["2"]["1"] == 1.0
-
-    def test_table6_json(self, capsys):
-        assert main(["table6", "--workload", "weakschur", "--levels", "2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "advantages" in payload["data"]
-
-    def test_figures_json(self, capsys):
-        assert main(
-            ["figures2-5", "--workload", "weakschur", "--levels", "2", "--clients", "4", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert {entry["dispatcher"] for entry in payload} == {"round_robin", "last_minute"}
-
-    def test_figure1_json(self, capsys):
-        assert main(["figure1", "--workload", "morpion-small", "--level", "1", "--sequential", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "grid" in payload["data"]
+        assert payload["levels"] == [2]
+        assert len(payload["claims"]) == 27
+        assert {claim["holds"] for claim in payload["claims"]} == {True, False, None}
+        assert set(payload["claims"][0]) == {"text", "holds", "reading"}
+        assert [path.rsplit("/", 1)[-1] for path in payload["paths"]] == [
+            "raw", "table1.csv", "table2.csv", "table3.csv",
+            "table4.csv", "table5.csv", "table6.csv", "paper.md",
+        ]
 
 
 # The exact --json schemas of the service commands; downstream tooling keys

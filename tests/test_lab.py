@@ -23,6 +23,8 @@ from repro.lab import (
     write_json,
 )
 from repro.analysis.tables import pivot_table
+from repro.games.base import play_sequence
+from repro.workloads import get_workload
 
 
 BASE = SearchSpec(workload="leftmove", level=1, max_steps=1)
@@ -195,6 +197,20 @@ class TestResultStore:
         # The cell is simply re-run on the next sweep, overwriting the junk.
         (report,) = Engine().run_many([BASE], store=store)
         assert store.get(BASE).score == report.score
+
+    @pytest.mark.parametrize(
+        "workload",
+        ["leftmove", "samegame", "tsp", "sop", "weakschur", "morpion-small", "morpion-bench", "morpion-4d"],
+    )
+    def test_stored_sequence_replays_to_its_score(self, tmp_path, workload):
+        """A stored report keeps each move as its repr; play_sequence still replays it."""
+        store = ResultStore(tmp_path)
+        spec = SearchSpec(workload=workload, level=1)
+        Engine().run_many([spec], store=store)
+        stored = store.get(spec)
+        assert stored.sequence and all(isinstance(move, str) for move in stored.sequence)
+        final = play_sequence(get_workload(workload).state(), stored.sequence)
+        assert final.score() == stored.score
 
     def test_two_processes_hammering_one_store(self, tmp_path):
         """Two *processes* racing ``put`` on overlapping keys (the inter-process
