@@ -4,16 +4,17 @@
   being much longer than a message round-trip; sweeping the simulated latency
   quantifies that margin.
 * **GIL** — the reason this reproduction simulates the cluster instead of
-  using Python threads: one grid of pure-Python searches run serially, on
-  ``Engine.run_many``'s thread executor and on its process executor.  The
-  thread pool gives essentially no speedup, while the process pool does.
-  Measured with real wall clock on the local machine.
+  using Python threads: one grid of pure-Python searches run serially, on a
+  plain thread pool calling ``Engine.run`` and on ``Engine.run_many``'s
+  process executor.  The thread pool gives essentially no speedup, while the
+  process pool does.  Measured with real wall clock on the local machine.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -70,16 +71,20 @@ def test_ablation_threads_vs_processes(benchmark, results_dir):
         for i in range(2 * n_workers)
     ]
 
-    def timed(**executor):
+    def timed(run_cells):
         start = time.perf_counter()
-        reports = Engine().run_many(cells, **executor)
+        reports = run_cells()
         return reports, time.perf_counter() - start
+
+    def threads():
+        with ThreadPoolExecutor(n_workers) as pool:
+            return list(pool.map(Engine().run, cells))
 
     def run():
         return (
-            timed(),
-            timed(executor="thread", max_workers=n_workers),
-            timed(executor="process", max_workers=n_workers),
+            timed(lambda: Engine().run_many(cells)),
+            timed(threads),
+            timed(lambda: Engine().run_many(cells, executor="process", max_workers=n_workers)),
         )
 
     (serial, serial_s), (threaded, thread_s), (procs, proc_s) = benchmark.pedantic(

@@ -33,7 +33,7 @@ stored, shipped to workers, or diffed between sessions.
 Batches are first-class: :meth:`Engine.stream` executes a list of specs or a
 whole :class:`repro.lab.sweep.SweepSpec` as a lazy stream of
 :class:`RunEvent`\\ s (started / cached / completed / failed per cell) with an
-error policy, cancellation and an optional worker pool, and
+error policy, cancellation and an optional worker-process pool, and
 :meth:`Engine.run_many` collects that stream into reports.  Attaching a
 :class:`repro.lab.store.ResultStore` makes batches durable and resumable:
 completed cells are persisted under their content address and skipped on
@@ -47,7 +47,6 @@ import enum
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import (
@@ -832,8 +831,7 @@ class Engine:
         store: Optional["ResultStore"] = None,
         error_policy: str = "raise",
         max_workers: Optional[int] = None,
-        executor: str = "thread",
-        chunk_size: Optional[int] = None,
+        executor: str = "inline",
         cancel: Optional[Union[threading.Event, Callable[[], bool]]] = None,
         refresh: bool = False,
     ) -> Iterator[RunEvent]:
@@ -841,10 +839,10 @@ class Engine:
 
         Cache hits resolve first: every cell whose record is in ``store``
         yields its ``"cached"`` event before any cell starts.  The remaining
-        cells then run on one of three runners — inline, a thread pool or
-        the worker-process pool — and this one loop turns what they report
-        into ``"started"``/``"completed"``/``"failed"`` events, writes the
-        store and applies the error policy, whichever runner it is.
+        cells then run on one of two runners — inline or the worker-process
+        pool — and this one loop turns what they report into
+        ``"started"``/``"completed"``/``"failed"`` events, writes the store
+        and applies the error policy, whichever runner it is.
 
         Parameters
         ----------
@@ -862,16 +860,15 @@ class Engine:
             emitting its ``"failed"`` event and letting cells already
             running finish; ``"skip"`` keeps going.
         max_workers:
-            With ``executor="thread"``: ``None``/``1`` runs cells inline, in
-            cell order, ``> 1`` runs independent cells on a thread pool
-            (events then arrive in completion order).  With
-            ``executor="process"``: the worker-*process* count (``None`` =
-            ``os.cpu_count()``).  Simulated time is unaffected by either
-            pool — only wall time is.
+            The worker-*process* count of ``executor="process"`` (``None`` =
+            ``os.cpu_count()``); passing it with the inline executor raises
+            ``ValueError``.  Simulated time is unaffected — only wall time
+            is.
         executor:
-            ``"thread"`` (default) keeps the historical behaviour;
-            ``"process"`` ships cache-missing cells, ``chunk_size`` per task
-            frame, to the shared worker-process pool
+            ``"inline"`` (default) runs cells one at a time on the consuming
+            thread, in cell order.  ``"process"`` ships cache-missing cells,
+            in chunks of :func:`repro.lab.procpool.auto_chunk_size` cells
+            per task frame, to the shared worker-process pool
             (:func:`repro.parallel.pool.shared_pool`), where each worker
             runs them through its own :class:`Engine` — CPU-bound cells then
             scale past the GIL.  ``"started"`` is emitted as a chunk fills,
@@ -881,14 +878,10 @@ class Engine:
             constructed with a custom ``executor=``
             :class:`~repro.parallel.jobs.JobExecutor` cannot use the process
             executor (executors don't cross processes).
-        chunk_size:
-            Cells per IPC round under ``executor="process"`` (``None`` =
-            :func:`repro.lab.procpool.auto_chunk_size`); ignored by the
-            thread executor.
         cancel:
             A :class:`threading.Event` or zero-argument callable; when set,
             no further cell starts (cells already running finish and their
-            events are delivered).  Cells already handed to a pool but not
+            events are delivered).  Cells already handed to the pool but not
             yet running re-check the flag when their turn comes and are
             skipped without executing (they emit no terminal event, so the
             stream may end with ``done < total``).  Cache hits are not
@@ -899,16 +892,18 @@ class Engine:
         """
         if error_policy not in ("raise", "skip"):
             raise ValueError(f"unknown error_policy {error_policy!r}; use 'raise' or 'skip'")
+        if executor not in ("inline", "process"):
+            raise ValueError(f"unknown executor {executor!r}; use 'inline' or 'process'")
+        if executor == "inline" and max_workers is not None:
+            raise ValueError(
+                "max_workers is a worker-process count; pass it with executor='process'"
+            )
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1 when given")
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}; use 'thread' or 'process'")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when given")
         if executor == "process" and self.executor is not None:
             raise ValueError(
                 "executor='process' cannot ship a custom JobExecutor to worker "
-                "processes; use the default per-workload executors or executor='thread'"
+                "processes; use the default per-workload executors or executor='inline'"
             )
         if cancel is None:
             cancelled = lambda: False  # noqa: E731 - tiny local predicate
@@ -936,9 +931,7 @@ class Engine:
             return first_error is not None or cancelled()
 
         if executor == "process":
-            cells = self._process_cells(pending, stop, max_workers, chunk_size)
-        elif max_workers is not None and max_workers > 1:
-            cells = self._thread_cells(pending, stop, max_workers)
+            cells = self._process_cells(pending, stop, max_workers)
         else:
             cells = self._inline_cells(pending, stop)
         try:
@@ -970,13 +963,6 @@ class Engine:
     # cell runs, then ``(index, "completed", report)`` or
     # ``(index, "failed", exception)``.  A cell skipped because ``stop``
     # turned true yields nothing more.
-    def _run_cell(self, index: int, spec: SearchSpec) -> Tuple[int, str, Any]:
-        """Run one cell: ``(index, "completed", report)`` or ``(index, "failed", exc)``."""
-        try:
-            return index, "completed", self.run(spec)
-        except Exception as exc:
-            return index, "failed", exc
-
     def _inline_cells(
         self, pending: List[Tuple[int, SearchSpec]], stop: Callable[[], bool]
     ) -> Generator[Tuple[int, str, Any], None, None]:
@@ -985,50 +971,27 @@ class Engine:
             if stop():
                 return
             yield index, "started", None
-            yield self._run_cell(index, spec)
-
-    def _thread_cells(
-        self,
-        pending: List[Tuple[int, SearchSpec]],
-        stop: Callable[[], bool],
-        max_workers: int,
-    ) -> Generator[Tuple[int, str, Any], None, None]:
-        """Run cells on a thread pool, reporting them in completion order.
-
-        Each cell re-checks ``stop`` when a thread picks it up, so setting
-        the flag stops the batch after at most ``max_workers`` in-flight
-        cells — queued cells are skipped without executing.
-        """
-
-        def run(index: int, spec: SearchSpec) -> Optional[Tuple[int, str, Any]]:
-            return None if stop() else self._run_cell(index, spec)
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = []
-            for index, spec in pending:
-                if stop():
-                    break
-                yield index, "started", None
-                futures.append(pool.submit(run, index, spec))
-            for future in as_completed(futures):
-                outcome = future.result()
-                if outcome is not None:
-                    yield outcome
+            try:
+                report = self.run(spec)
+            except Exception as exc:
+                yield index, "failed", exc
+            else:
+                yield index, "completed", report
 
     def _process_cells(
         self,
         pending: List[Tuple[int, SearchSpec]],
         stop: Callable[[], bool],
         max_workers: Optional[int],
-        chunk_size: Optional[int],
     ) -> Generator[Tuple[int, str, Any], None, None]:
         """Ship cells to the shared worker-process pool, reporting them in completion order.
 
-        Cells travel as ``spec.to_dict()`` in chunks of ``chunk_size``;
-        ``started`` is yielded for each cell as its chunk fills, and the
-        full chunk is submitted at once.  Workers send back report dicts,
-        one frame per cell, and a metrics snapshot per chunk that is folded
-        into this process's registry.  Once ``stop`` turns true the batch is
+        Cells travel as ``spec.to_dict()`` in chunks of
+        :func:`~repro.lab.procpool.auto_chunk_size` cells; ``started`` is
+        yielded for each cell as its chunk fills, and the full chunk is
+        submitted at once.  Workers send back report dicts, one frame per
+        cell, and a metrics snapshot per chunk that is folded into this
+        process's registry.  Once ``stop`` turns true the batch is
         cancelled: cells not yet running in a worker are skipped, and the
         batch drains before the pool is released.
         """
@@ -1038,9 +1001,7 @@ class Engine:
         if not pending:
             return
         pool = shared_pool(max_workers)
-        size = chunk_size if chunk_size is not None else auto_chunk_size(
-            len(pending), pool.n_workers
-        )
+        size = auto_chunk_size(len(pending), pool.n_workers)
         obs_on = _obs_enabled()
         outstanding_cells: set = set()
         outstanding_chunks = 0
@@ -1094,19 +1055,18 @@ class Engine:
         on_event: Optional[Callable[[RunEvent], None]] = None,
         error_policy: str = "raise",
         max_workers: Optional[int] = None,
-        executor: str = "thread",
-        chunk_size: Optional[int] = None,
+        executor: str = "inline",
         cancel: Optional[Union[threading.Event, Callable[[], bool]]] = None,
         refresh: bool = False,
     ) -> List[RunReport]:
         """Execute a batch (or a whole :class:`SweepSpec`) and return its reports.
 
         A thin collector over :meth:`stream`: reports come back in cell
-        order whatever ``max_workers``/``executor`` is, cells that failed
-        under ``error_policy="skip"`` are absent, and ``on_event`` observes
-        every :class:`RunEvent` as it happens (progress callbacks, logging,
-        ...).  ``executor="process"`` runs cells on the persistent
-        worker-process pool (see :meth:`stream`).
+        order whatever the executor is, cells that failed under
+        ``error_policy="skip"`` are absent, and ``on_event`` observes every
+        :class:`RunEvent` as it happens (progress callbacks, logging, ...).
+        ``executor="process"`` runs cells on the persistent worker-process
+        pool (see :meth:`stream`).
         """
         reports: Dict[int, RunReport] = {}
         for event in self.stream(
@@ -1115,7 +1075,6 @@ class Engine:
             error_policy=error_policy,
             max_workers=max_workers,
             executor=executor,
-            chunk_size=chunk_size,
             cancel=cancel,
             refresh=refresh,
         ):

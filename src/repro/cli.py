@@ -30,9 +30,9 @@ re-running executes no table cell)::
 
     python -m repro paper --out results/paper
 
-Run a sequential NMCS on the scaled Morpion board::
+Run a sequential NMCS on the scaled Morpion board and draw the final grid::
 
-    python -m repro nmcs --workload morpion-bench --level 2 --seed 3
+    python -m repro run --workload morpion-bench --level 2 --seed 3 --render
 
 Commands accept ``--json`` to emit a machine-readable payload instead of
 rendered text, so pipelines never scrape tables.
@@ -63,6 +63,7 @@ from repro.lab import (
     write_csv,
     write_json,
 )
+from repro.games.base import play_sequence
 from repro.games.morpion.render import render_state
 from repro.games.morpion.state import MorpionState
 from repro.workloads import get_workload, list_workloads
@@ -80,11 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_json(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit the raw payload as JSON")
-
-    def add_common(p: argparse.ArgumentParser, default_workload: str = "morpion-bench") -> None:
-        p.add_argument("--workload", default=default_workload, help="named workload (see 'list')")
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
-        add_json(p)
 
     # Scenario flags use SUPPRESS defaults so that "explicitly passed" can be
     # told apart from "omitted": with --spec, only passed flags override the
@@ -114,6 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one algorithm × workload × backend scenario (repro.api)")
     add_scenario_flags(p)
+    p.add_argument(
+        "--render", action="store_true", help="draw the final grid (Morpion workloads, not with --json)"
+    )
     add_json(p)
 
     p = sub.add_parser(
@@ -138,22 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute every cell, overwriting existing store entries",
     )
     p.add_argument(
-        "--workers", type=int, default=None, help="run independent cells on a thread pool this size"
-    )
-    p.add_argument(
         "--processes",
         type=int,
         default=None,
         metavar="N",
         help="run cells on a persistent pool of N worker processes (GIL-free; "
-        "mutually exclusive with --workers)",
-    )
-    p.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="CELLS",
-        help="cells per IPC round with --processes (default: auto)",
+        "default: one at a time in this process)",
     )
     p.add_argument(
         "--error-policy",
@@ -242,16 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="list registered algorithms, backends and workloads")
     add_json(p)
 
-    p = sub.add_parser("nmcs", help="run a sequential Nested Monte-Carlo Search")
-    add_common(p)
-    p.add_argument("--level", type=int, default=None, help="nesting level (default: workload low level)")
-    p.add_argument("--render", action="store_true", help="render the final Morpion grid")
-
     p = sub.add_parser(
         "paper", help="regenerate Tables I-VI and Figures 1-5 into DIR and check them against the paper"
     )
     p.add_argument("--out", required=True, metavar="DIR", help="output directory (raw/ store, CSVs, paper.md)")
-    add_common(p, default_workload="morpion-small")
+    p.add_argument("--workload", default="morpion-small", help="named workload (see 'list')")
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    add_json(p)
     p.add_argument(
         "--levels",
         type=int,
@@ -383,12 +369,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     if args.force and args.resume:
         _print_error("error: --force and --resume are mutually exclusive")
         return 2
-    if args.processes is not None and args.workers is not None:
-        _print_error("error: --processes and --workers are mutually exclusive")
-        return 2
-    if args.chunk_size is not None and args.processes is None:
-        _print_error("error: --chunk-size only applies with --processes")
-        return 2
     try:
         text = args.spec
         if not text.lstrip().startswith("{"):
@@ -410,9 +390,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             sweep,
             store=store,
             error_policy=args.error_policy,
-            max_workers=args.processes if args.processes is not None else args.workers,
-            executor="process" if args.processes is not None else "thread",
-            chunk_size=args.chunk_size,
+            max_workers=args.processes,
+            executor="inline" if args.processes is None else "process",
             refresh=args.force,
         ):
             counts[event.kind] += 1
@@ -514,8 +493,7 @@ def _serve_command(args: argparse.Namespace) -> int:
             queue_depth=args.queue_depth,
             rate=args.rate,
             burst=args.burst,
-            cell_executor="process" if args.processes is not None else "thread",
-            cell_workers=args.processes,
+            cell_processes=args.processes,
         )
     except ValueError as exc:
         _print_error(f"error: {exc}")
@@ -790,6 +768,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "run":
         try:
             spec = _spec_from_args(args)
+            start = get_workload(spec.workload).state() if args.render else None
+            if args.render and (args.json or not isinstance(start, MorpionState)):
+                raise ValueError(
+                    "--render draws a Morpion grid: it needs a morpion workload and no --json"
+                )
             report = Engine().run(spec)
         except (ValueError, KeyError, OSError) as exc:
             # KeyError's str() wraps the message in quotes; unwrap it.
@@ -821,6 +804,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"peak queue {stats['peak_queue_size']}"
                 + (f", {ratio:.2f} wall-s per simulated-s" if ratio is not None else "")
             )
+        if args.render:
+            _print(render_state(play_sequence(start, report.sequence)))
         return 0
 
     if args.command == "list":
@@ -864,25 +849,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "paper":
         return _paper_command(args)
-
-    if args.command == "nmcs":
-        workload = get_workload(args.workload)
-        level = args.level if args.level is not None else workload.low_level
-        state = workload.state()
-        report = Engine().run(
-            SearchSpec(workload=workload.name, level=level, seed=args.seed), state=state
-        )
-        result = report.raw
-        if args.json:
-            _print_json(report.to_dict())
-            return 0
-        _print(f"workload={workload.name} level={level} seed={args.seed}")
-        _print(f"score: {result.score}")
-        _print(f"moves: {len(result.sequence)}")
-        _print(f"work:  {result.work.moves} move applications, {result.work.playouts} playouts")
-        if args.render and isinstance(state, MorpionState):
-            _print(render_state(result.final_state(state)))
-        return 0
 
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover

@@ -238,7 +238,3 @@ class ProcessContext:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._kernel.now
-
-    def peers(self) -> list:
-        """Names of every process registered in the simulation."""
-        return list(self._kernel.process_names())

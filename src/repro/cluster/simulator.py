@@ -206,10 +206,6 @@ class Kernel:
         """The process record with the given name."""
         return self._processes[name]
 
-    def process_names(self) -> List[str]:
-        """Names of every registered process."""
-        return list(self._processes.keys())
-
     def all_finished(self) -> bool:
         """True when every registered process has finished."""
         return self._finished_count == len(self._processes)

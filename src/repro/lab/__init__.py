@@ -19,7 +19,9 @@ is what every table of the paper actually is:
   scale past the GIL (see ``docs/SWEEPS.md``).
 
 Execution lives on the engine: ``Engine.run_many(sweep, store=...)`` and the
-streaming ``Engine.stream(...)`` event iterator (see :mod:`repro.api`).
+streaming ``Engine.stream(...)`` event iterator run a grid's cells inline, in
+cell order, or with ``executor="process"`` on the worker-process pool (see
+:mod:`repro.api`).
 
 >>> from repro import Engine, ResultStore, SearchSpec, SweepSpec
 >>> sweep = SweepSpec(

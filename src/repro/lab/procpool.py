@@ -16,10 +16,10 @@ lives here:
   persist for the whole sweep exactly as they do in the parent's inline
   path.
 * **Chunked dispatch.** Small cells (sub-100 ms kernel runs) would drown in
-  per-cell IPC; cells are batched ``chunk_size`` per task frame
-  (:func:`auto_chunk_size` picks a default from the batch and pool size).
-  Results still stream back one frame per *cell*, so parent-side progress
-  events stay live whatever the chunk size.
+  per-cell IPC; cells are batched per task frame, :func:`auto_chunk_size`
+  cells at a time (chosen from the batch and pool size).  Results still
+  stream back one frame per *cell*, so parent-side progress events stay
+  live whatever the chunk size.
 * **Cooperative cancellation.** Workers check the pool's shared
   ``multiprocessing.Event`` before every cell; cancelled cells report a
   ``skip`` frame (no terminal :class:`~repro.api.RunEvent` — exactly the

@@ -26,11 +26,10 @@ whose seeds are derived from the base seed with :func:`repro.prng.derive_seed`,
 for sweeps that want score statistics instead.
 
 Cells are independent by construction (each is a complete, serialisable
-:class:`~repro.api.SearchSpec`), which is what lets the engine execute a grid
-on a thread pool (``Engine.stream(..., max_workers=N)``) or shard it across
-the persistent worker-*process* pool (``executor="process"`` /
+:class:`~repro.api.SearchSpec`), which is what lets the engine shard a grid
+across the persistent worker-*process* pool (``executor="process"`` /
 ``repro sweep --processes N``; see :mod:`repro.lab.procpool`) with results
-identical to serial execution.
+identical to the inline run.
 """
 
 from __future__ import annotations
@@ -178,7 +177,15 @@ class SweepSpec:
         }
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        """Canonical JSON form: every key sorted except the axis names.
+
+        Axis order defines cell order, so it is kept; the rest is sorted so
+        that equal sweeps give equal documents (the service's in-flight
+        dedup key hashes this text).
+        """
+        data = json.loads(json.dumps(self.to_dict(), sort_keys=True))
+        data["axes"] = {axis: data["axes"][axis] for axis in self.axes}
+        return json.dumps(data, indent=indent)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":

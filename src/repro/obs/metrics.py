@@ -5,9 +5,8 @@ see :mod:`repro.obs.tracing`).  Design constraints, in order:
 
 * **zero dependencies** — plain stdlib, importable from every layer
   (``repro.api``, ``repro.lab.store``, the kernel) without cycles;
-* **thread-safe** — the service's worker pool and the engine's thread pool
-  update the same counters concurrently; every mutation happens under the
-  owning family's lock;
+* **thread-safe** — the service's worker threads update the same counters
+  concurrently; every mutation happens under the owning family's lock;
 * **zero overhead when disabled** — observability is *opt-in*
   (:func:`enable`, or ``REPRO_OBS=1`` in the environment).  While disabled,
   every ``inc``/``set``/``observe`` returns after one module-global flag

@@ -11,9 +11,8 @@ Two execution substrates are provided:
 
 Every out-of-process path runs on one worker pool,
 :class:`PersistentWorkerPool` (:func:`shared_pool` is the process-wide
-instance): the ``multiprocessing`` backend's candidate evaluations,
-:class:`PooledJobExecutor`'s client searches and the sweep cells of
-``Engine.stream(executor="process")``.
+instance): the ``multiprocessing`` backend's candidate evaluations and the
+sweep cells of ``Engine.stream(executor="process")``.
 
 Both substrates are exposed as backends of the unified :mod:`repro.api`
 facade (``sim-cluster``, ``multiprocessing``).
@@ -25,7 +24,6 @@ from repro.parallel.jobs import (
     JobExecutor,
     DirectJobExecutor,
     CachingJobExecutor,
-    PooledJobExecutor,
 )
 from repro.parallel.pool import PersistentWorkerPool, shared_pool, close_shared_pool
 from repro.parallel.driver import ParallelRunResult, run_parallel_nmcs
@@ -38,7 +36,6 @@ __all__ = [
     "JobExecutor",
     "DirectJobExecutor",
     "CachingJobExecutor",
-    "PooledJobExecutor",
     "PersistentWorkerPool",
     "shared_pool",
     "close_shared_pool",

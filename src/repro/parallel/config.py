@@ -88,9 +88,3 @@ class ParallelConfig:
     def client_level(self) -> int:
         """The nesting level of the searches executed by client processes."""
         return self.level - 2
-
-    def with_dispatcher(self, dispatcher: "DispatcherKind | str") -> "ParallelConfig":
-        """A copy of this configuration with a different dispatcher."""
-        from dataclasses import replace
-
-        return replace(self, dispatcher=DispatcherKind.parse(dispatcher))

@@ -26,10 +26,7 @@ real :class:`~repro.games.base.GameState`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.pool import PersistentWorkerPool
+from typing import Dict, Optional, Tuple
 
 from repro.core.counters import WorkCounter
 from repro.core.nested import nested_search
@@ -46,7 +43,6 @@ __all__ = [
     "JobExecutor",
     "DirectJobExecutor",
     "CachingJobExecutor",
-    "PooledJobExecutor",
 ]
 
 
@@ -100,37 +96,6 @@ class DirectJobExecutor(JobExecutor):
         self.jobs_executed += 1
         self.total_work_units += counter.moves
         return JobOutcome(score=result.score, sequence=tuple(result.sequence), work_units=float(counter.moves))
-
-
-class PooledJobExecutor(JobExecutor):
-    """Executes every job out-of-process on a persistent worker pool.
-
-    Positions cross the process boundary as compact wire frames (see
-    :mod:`repro.parallel.pool`), not pickled object graphs, and the workers
-    are reused across jobs and runs.  Results are identical to
-    :class:`DirectJobExecutor` (same seed derivation, same kernels), so this
-    drops in anywhere a :class:`JobExecutor` is accepted — e.g. wrapped in a
-    :class:`CachingJobExecutor` for the simulated cluster — to isolate the
-    real search work from the simulating process.
-    """
-
-    def __init__(self, pool: Optional["PersistentWorkerPool"] = None) -> None:
-        self._pool = pool
-        self.jobs_executed = 0
-        self.total_work_units = 0.0
-
-    def pool(self) -> "PersistentWorkerPool":
-        if self._pool is None or not self._pool.alive:
-            from repro.parallel.pool import shared_pool
-
-            self._pool = shared_pool()
-        return self._pool
-
-    def execute(self, position: GameState, level: int, seeds: SeedSequence) -> JobOutcome:
-        score, sequence, work_units = self.pool().run_search(position, level, seeds)
-        self.jobs_executed += 1
-        self.total_work_units += work_units
-        return JobOutcome(score=score, sequence=tuple(sequence), work_units=work_units)
 
 
 class CachingJobExecutor(JobExecutor):

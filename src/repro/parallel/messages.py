@@ -28,7 +28,6 @@ __all__ = [
     "TAG_TASK",
     "TAG_RESULT",
     "TAG_DISPATCH",
-    "TAG_CONTROL",
     "MedianTask",
     "MedianResult",
     "DispatchRequest",
@@ -47,8 +46,6 @@ TAG_TASK = 1
 TAG_RESULT = 2
 #: Tag for dispatcher traffic (median→dispatcher, client→dispatcher, replies).
 TAG_DISPATCH = 3
-#: Tag for control messages (shutdown).
-TAG_CONTROL = 4
 
 
 def estimate_state_size(state: GameState) -> float:

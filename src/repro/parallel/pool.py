@@ -2,17 +2,16 @@
 
 One pool serves both kinds of out-of-process work in the library:
 
-* **search jobs** — the root-level fan-out of
-  :func:`repro.parallel.multiproc.multiprocessing_nmcs` (candidate
-  evaluations) and :class:`repro.parallel.jobs.PooledJobExecutor` (client
-  searches of the simulated cluster);
+* **candidate evaluations** — the root-level fan-out of
+  :func:`repro.parallel.multiproc.multiprocessing_nmcs`;
 * **sweep cells** — ``Engine.stream(..., executor="process")``, whose
   sweep-specific pieces (chunk sizing, the worker-side cell handler,
   :class:`~repro.lab.procpool.RemoteCellError`) live in
   :mod:`repro.lab.procpool`.
 
-Both travel as task frames whose first field names their kind (``"job"`` or
-``"cells"``) and whose second is the id of the batch that sent them:
+Both travel as task frames whose first field names their kind (``"job"``, one
+candidate evaluation, or ``"cells"``) and whose second is the id of the batch
+that sent them:
 
 * **Persistent workers** — processes are spawned once and reused across
   batches, steps, whole searches and sweeps (see :func:`shared_pool` for the
@@ -51,8 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.counters import WorkCounter
-from repro.core.nested import evaluate_move, nested_search
-from repro.core.sample import sample
+from repro.core.nested import evaluate_move
 from repro.games.base import GameState, Move, decode_state
 from repro.prng import SeedSequence
 
@@ -61,19 +59,14 @@ __all__ = ["PersistentWorkerPool", "shared_pool", "close_shared_pool"]
 #: Worker-side decoded-position cache size (distinct encoded blobs).
 _DECODE_CACHE_LIMIT = 64
 
-#: Seconds a search-job batch waits without any result before it declares
-#: the pool wedged.  Sweep batches have no such deadline: a cell may
+#: Seconds a batch of candidate evaluations waits without any result before
+#: it declares the pool wedged.  Sweep batches have no such deadline: a cell may
 #: legitimately run for hours.
 _JOB_TIMEOUT_S = 600.0
 
 
 def _run_job(frame: Tuple[Any, ...], decode_cache: Dict[bytes, GameState]) -> Tuple[Any, ...]:
-    """Run one ``job`` frame and return its result frame.
-
-    A job with a ``move`` evaluates that candidate of the position (the
-    root-level fan-out); a job without one (``move is None``) is a full
-    client search from the position itself.
-    """
+    """Run one ``job`` frame, a candidate evaluation, and return its result frame."""
     _, batch_id, job_id, blob, move, level, master_seed, path = frame
     try:
         state = decode_cache.get(blob)
@@ -81,14 +74,8 @@ def _run_job(frame: Tuple[Any, ...], decode_cache: Dict[bytes, GameState]) -> Tu
             if len(decode_cache) >= _DECODE_CACHE_LIMIT:
                 decode_cache.clear()
             state = decode_cache[blob] = decode_state(blob)
-        seeds = SeedSequence(master_seed, *path)
         counter = WorkCounter()
-        if move is not None:
-            result = evaluate_move(state, move, level, seeds, counter)
-        elif level <= 0:
-            result = sample(state, seeds=seeds, counter=counter)
-        else:
-            result = nested_search(state, level, seeds, counter=counter)
+        result = evaluate_move(state, move, level, SeedSequence(master_seed, *path), counter)
         payload = (result.score, tuple(result.sequence), float(counter.moves))
         return ("job", batch_id, job_id, "ok", payload)
     except Exception as exc:  # an error frame, never a parent waiting forever
@@ -122,8 +109,8 @@ class PersistentWorkerPool:
 
     Unlike ``multiprocessing.Pool``, the pool is meant to outlive a single
     search or sweep: create it once (or use :func:`shared_pool`) and every
-    :meth:`evaluate_candidates`, :meth:`run_search` and sweep batch reuses
-    the same worker processes.
+    :meth:`evaluate_candidates` call and sweep batch reuses the same worker
+    processes.
     """
 
     def __init__(self, n_workers: Optional[int] = None):
@@ -218,29 +205,40 @@ class PersistentWorkerPool:
                 return frame
 
     # ------------------------------------------------------------------ #
-    # Search jobs
+    # Candidate evaluations
     # ------------------------------------------------------------------ #
-    def _run_jobs(
-        self, state: GameState, level: int, jobs: Sequence[Tuple[Any, SeedSequence]]
-    ) -> List[Tuple[float, Tuple[Move, ...], float]]:
-        """Run ``(move, seeds)`` jobs from ``state`` as one batch; outcomes in input order.
+    def evaluate_candidates(
+        self,
+        state: GameState,
+        evaluations: Sequence[Tuple[int, Move, SeedSequence]],
+        level: int,
+    ) -> List[Tuple[int, float, Tuple[Move, ...], float]]:
+        """Evaluate candidate moves of ``state`` at ``level`` on the workers.
 
-        The position is encoded **once** and shared by every job's frame;
-        per-job frames (rather than per-worker chunks) keep the load
-        balanced when playout costs vary wildly.  A job that raised fails
-        the call after the rest of the batch has drained; a batch that gets
-        no result for :data:`_JOB_TIMEOUT_S` tears the pool down and fails.
+        ``evaluations`` are ``(candidate_index, move, child_seeds)`` triples
+        (the shape produced by
+        :func:`repro.core.nested.candidate_evaluations`); the result is
+        ``(candidate_index, score, sequence, work_units)`` in input order.
+
+        The evaluations run as one batch.  The position is encoded **once**
+        and shared by every job's frame; per-job frames (rather than
+        per-worker chunks) keep the load balanced when playout costs vary
+        wildly.  A job that raised fails the call after the rest of the
+        batch has drained; a batch that gets no result for
+        :data:`_JOB_TIMEOUT_S` tears the pool down and fails.
         """
+        if not evaluations:
+            return []
         blob = state.encode()
-        outcomes: List[Any] = [None] * len(jobs)
+        outcomes: List[Any] = [None] * len(evaluations)
         error: Optional[str] = None
         batch_id = self.begin_batch()
         try:
-            for job_id, (move, seeds) in enumerate(jobs):
+            for job_id, (_, move, seeds) in enumerate(evaluations):
                 self._tasks.put(
                     ("job", batch_id, job_id, blob, move, level, seeds.master_seed, seeds.path)
                 )
-            remaining = len(jobs)
+            remaining = len(evaluations)
             last_frame = time.monotonic()
             while remaining:
                 frame = self.next_frame(batch_id)
@@ -260,44 +258,10 @@ class PersistentWorkerPool:
                     error = payload
             if error is not None:
                 raise RuntimeError(f"worker job failed: {error}")
-            self.jobs_executed += len(jobs)
+            self.jobs_executed += len(evaluations)
         finally:
             self.end_batch()
-        return outcomes
-
-    def evaluate_candidates(
-        self,
-        state: GameState,
-        evaluations: Sequence[Tuple[int, Move, SeedSequence]],
-        level: int,
-    ) -> List[Tuple[int, float, Tuple[Move, ...], float]]:
-        """Evaluate candidate moves of ``state`` at ``level`` on the workers.
-
-        ``evaluations`` are ``(candidate_index, move, child_seeds)`` triples
-        (the shape produced by
-        :func:`repro.core.nested.candidate_evaluations`); the result is
-        ``(candidate_index, score, sequence, work_units)`` in input order.
-        """
-        if not evaluations:
-            return []
-        outcomes = self._run_jobs(
-            state, level, [(move, child_seeds) for _, move, child_seeds in evaluations]
-        )
         return [(index, *outcome) for (index, _, _), outcome in zip(evaluations, outcomes)]
-
-    def run_search(
-        self, state: GameState, level: int, seeds: SeedSequence
-    ) -> Tuple[float, Tuple[Move, ...], float]:
-        """Run one full client job — a level-``level`` search from ``state`` —
-        on a worker, returning ``(score, sequence, work_units)``.
-
-        This is the unit shape of :class:`repro.parallel.jobs.JobExecutor`,
-        so the simulated cluster's real work can be executed out-of-process
-        through the same wire protocol (see
-        :class:`repro.parallel.jobs.PooledJobExecutor`).
-        """
-        (outcome,) = self._run_jobs(state, level, [(None, seeds)])
-        return outcome
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -352,9 +316,8 @@ def shared_pool(n_workers: Optional[int] = None) -> PersistentWorkerPool:
 
     This is what makes the pool *persistent across searches and sweeps*:
     every caller that does not manage its own pool — ``multiprocessing``
-    searches, :class:`~repro.parallel.jobs.PooledJobExecutor` and
-    ``Engine.stream(executor="process")`` — shares these workers, so
-    repeated runs pay the process spawn cost once.
+    searches and ``Engine.stream(executor="process")`` — shares these
+    workers, so repeated runs pay the process spawn cost once.
     """
     global _SHARED
     wanted = n_workers if n_workers is not None else (os.cpu_count() or 1)

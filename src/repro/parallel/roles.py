@@ -35,7 +35,6 @@ from repro.games.base import GameState, Move
 from repro.parallel.config import DispatcherKind, ParallelConfig
 from repro.parallel.jobs import JobExecutor
 from repro.parallel.messages import (
-    TAG_CONTROL,
     TAG_DISPATCH,
     TAG_RESULT,
     TAG_TASK,

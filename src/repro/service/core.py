@@ -62,6 +62,13 @@ _REJECTIONS = _obs_metrics.counter(
 Submission = Union[SearchSpec, SweepSpec, Mapping[str, Any]]
 
 
+#: Seconds a service worker waits on an empty queue before re-checking for
+#: shutdown, and ``shutdown`` sleeps between its idle checks.
+_POLL_INTERVAL_S = 0.05
+#: How long ``shutdown`` waits for in-flight work unless given ``timeout``.
+_DRAIN_TIMEOUT_S = 60.0
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of a :class:`SearchService`.
@@ -69,40 +76,29 @@ class ServiceConfig:
     ``rate``/``burst`` configure the per-client token bucket (submissions per
     second / bucket capacity); ``rate=None`` disables rate limiting.
     ``queue_depth`` bounds pending jobs — submissions beyond it are rejected
-    with ``queue_full`` (backpressure).  ``drain_timeout`` caps how long
-    :meth:`SearchService.shutdown` waits for in-flight work.
+    with ``queue_full`` (backpressure).
 
-    ``cell_executor``/``cell_workers`` choose how each job's *cells* execute
-    inside the engine: the default (``"thread"``, ``None``) runs cells
-    inline on the job's worker thread; ``cell_executor="process"`` ships
-    CPU-bound cells to the persistent worker-process pool
-    (``repro serve --processes N``), with child telemetry merged back so
-    ``repro stats`` stays truthful.  Jobs still run one-at-a-time per pool
-    batch, so two service workers never interleave result frames.
+    ``cell_processes`` chooses where each job's *cells* execute inside the
+    engine: the default (``None``) runs them inline on the job's worker
+    thread; ``N`` ships CPU-bound cells to a persistent pool of ``N`` worker
+    processes (``repro serve --processes N``), with child telemetry merged
+    back so ``repro stats`` stays truthful.  Jobs still run one-at-a-time
+    per pool batch, so two service workers never interleave result frames.
     """
 
     n_workers: int = 2
     queue_depth: int = 64
     rate: Optional[float] = None
     burst: Optional[float] = None
-    poll_interval: float = 0.05
-    drain_timeout: float = 60.0
-    cell_executor: str = "thread"
-    cell_workers: Optional[int] = None
+    cell_processes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
-        if self.cell_executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown cell_executor {self.cell_executor!r}; use 'thread' or 'process'"
-            )
-        if self.cell_workers is not None and self.cell_workers < 1:
-            raise ValueError("cell_workers must be >= 1 when given")
+        if self.cell_processes is not None and self.cell_processes < 1:
+            raise ValueError("cell_processes must be >= 1 when given")
 
 
 class SearchService:
@@ -165,7 +161,7 @@ class SearchService:
         """Stop accepting submissions and wind the pool down.
 
         ``drain=True`` lets queued and running jobs finish (bounded by
-        ``timeout``, default ``config.drain_timeout``); ``drain=False``
+        ``timeout``, default 60 s); ``drain=False``
         cancels everything still pending first (running jobs stop at their
         next cell boundary — cancellation is cooperative).
         """
@@ -176,14 +172,14 @@ class SearchService:
             for job in pending:
                 self._cancel_job(job)
         deadline = time.monotonic() + (
-            timeout if timeout is not None else self.config.drain_timeout
+            timeout if timeout is not None else _DRAIN_TIMEOUT_S
         )
         while time.monotonic() < deadline:
             with self._lock:
                 idle = not self._inflight and self._running == 0
             if idle:
                 break
-            time.sleep(self.config.poll_interval)
+            time.sleep(_POLL_INTERVAL_S)
         self._exit.set()
         for thread in self._workers:
             thread.join(timeout=max(0.0, deadline - time.monotonic()) + 1.0)
@@ -425,7 +421,7 @@ class SearchService:
     # ------------------------------------------------------------------ #
     def _worker(self) -> None:
         while not self._exit.is_set():
-            job = self._queue.pop(timeout=self.config.poll_interval)
+            job = self._queue.pop(timeout=_POLL_INTERVAL_S)
             if job is None:
                 continue
             if job.terminal:  # cancelled while queued; lazily dropped here
@@ -451,8 +447,8 @@ class SearchService:
                 batch,
                 store=self.store,
                 error_policy="skip",
-                max_workers=self.config.cell_workers,
-                executor=self.config.cell_executor,
+                max_workers=self.config.cell_processes,
+                executor="inline" if self.config.cell_processes is None else "process",
                 cancel=job.cancel_event,
             ):
                 if event.kind == "failed" and event.error is not None:

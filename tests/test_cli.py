@@ -18,7 +18,7 @@ class TestParser:
         parser = build_parser()
         for argv in (
             ["list"],
-            ["nmcs", "--workload", "weakschur", "--level", "1"],
+            ["run", "--workload", "morpion-small", "--level", "1", "--render"],
             ["paper", "--out", "results", "--workload", "leftmove", "--levels", "2", "3"],
             ["run", "--workload", "leftmove", "--backend", "sim-cluster", "--first-move"],
             ["run", "--spec", "scenario.json", "--json"],
@@ -28,9 +28,14 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["nmcs", "--levels", "3"],
+            ["run", "--levels", "3"],
             ["paper", "--out", "d", "--clients", "8"],
             ["workloads"],
+            # `repro run --render` draws the final grid.
+            ["nmcs"],
+            # Sweeps run inline or on `--processes N`; chunk sizes are automatic.
+            ["sweep", "--spec", "{}", "--workers", "2"],
+            ["sweep", "--spec", "{}", "--processes", "2", "--chunk-size", "2"],
             # `repro paper` regenerates every table and figure.
             *([name] for name in ("table1", "table2", "table3", "table4", "table5", "table6")),
             ["figures2-5"],
@@ -48,15 +53,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "morpion-bench" in out and "weakschur" in out
 
-    def test_nmcs_command(self, capsys):
-        assert main(["nmcs", "--workload", "weakschur", "--level", "1", "--seed", "2"]) == 0
+    def test_run_command(self, capsys):
+        assert main(["run", "--workload", "weakschur", "--level", "1", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "score:" in out
 
-    def test_nmcs_render_on_morpion(self, capsys):
-        assert main(["nmcs", "--workload", "morpion-small", "--level", "1", "--render"]) == 0
+    def test_run_render_on_morpion(self, capsys):
+        assert main(["run", "--workload", "morpion-small", "--level", "1", "--render"]) == 0
         out = capsys.readouterr().out
-        assert "o" in out
+        moves = int(next(line for line in out.splitlines() if line.startswith("moves:")).split()[1])
+        # The grid numbers every move of the replayed rollout.
+        assert moves > 0 and f" {moves} " in f"{out} "
+        assert " o " in out
+
+    def test_render_without_a_grid_to_draw_exits_2(self, capsys):
+        assert main(["run", "--workload", "leftmove", "--level", "1", "--render"]) == 2
+        captured = capsys.readouterr()
+        assert "--render" in captured.err and captured.out == ""
+        assert main(["run", "--workload", "morpion-small", "--level", "1", "--render", "--json"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_paper_command(self, tmp_path, capsys):
         # leftmove is too small for the 64-client speedup bounds: exit 1.
@@ -233,8 +248,8 @@ class TestSweepCommand:
         )
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_sweep_workers_pool(self, tmp_path, capsys):
-        argv = ["sweep", "--spec", json.dumps(SWEEP_DOC), "--workers", "2", "--json"]
+    def test_sweep_processes_pool(self, tmp_path, capsys):
+        argv = ["sweep", "--spec", json.dumps(SWEEP_DOC), "--processes", "2", "--json"]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["executed"] == 2
@@ -250,8 +265,8 @@ class TestJsonOutput:
         assert "sop" in payload["workloads"] and "leftmove" in payload["workloads"]
         assert "nmcs" in payload["algorithms"] and "sim-cluster" in payload["backends"]
 
-    def test_nmcs_json(self, capsys):
-        assert main(["nmcs", "--workload", "leftmove", "--level", "1", "--json"]) == 0
+    def test_run_json(self, capsys):
+        assert main(["run", "--workload", "leftmove", "--level", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["algorithm"] == "nmcs"
 

@@ -334,15 +334,6 @@ class TestBatchLayer:
         with pytest.raises(ValueError, match="error_policy"):
             engine.run_many(specs, error_policy="bogus")
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        sweep = SweepSpec(base=SIM, axes={"n_clients": (1, 2), "level": (2, 3)})
-        sequential = Engine().run_many(sweep)
-        pooled = Engine().run_many(sweep, max_workers=3)
-        assert [r.score for r in pooled] == [r.score for r in sequential]
-        assert [r.simulated_seconds for r in pooled] == [
-            r.simulated_seconds for r in sequential
-        ]
-
     def test_refresh_reexecutes_but_still_stores(self, tmp_path):
         calls = []
         _counting_algorithm("test-refresh", calls)
@@ -355,53 +346,6 @@ class TestBatchLayer:
             assert len(calls) == 2 and len(store) == 1
         finally:
             del ALGORITHMS["test-refresh"]
-
-    def test_pooled_cancellation_skips_unstarted_cells(self):
-        """A cancel observed mid-pool stops submitted-but-unstarted cells.
-
-        Two workers hold two cells open on a gate; the cancel flag is set
-        while the other four sit queued in the pool.  Those four must never
-        execute a search, and — like the inline path — they emit no terminal
-        event, so the stream ends with ``done < total``.
-        """
-        gate = threading.Event()
-        running = threading.Semaphore(0)
-        cancel = threading.Event()
-        calls = []
-
-        @register_algorithm("test-pool-cancel", description="test-only", supports_budget=False)
-        def _gated(state, level, seeds, counter, budget, params):
-            from repro.core.sample import sample
-
-            calls.append(1)
-            running.release()
-            assert gate.wait(timeout=30), "gate never released"
-            return sample(state, seeds=seeds, counter=counter)
-
-        try:
-            sweep = SweepSpec(
-                base=SearchSpec(workload="leftmove", algorithm="test-pool-cancel", level=0),
-                axes={"seed": (0, 1, 2, 3, 4, 5)},
-            )
-            events = []
-
-            def consume():
-                events.extend(Engine().stream(sweep, max_workers=2, cancel=cancel))
-
-            consumer = threading.Thread(target=consume)
-            consumer.start()
-            assert running.acquire(timeout=10) and running.acquire(timeout=10)
-            cancel.set()  # four cells are submitted to the pool, none started
-            gate.set()
-            consumer.join(timeout=30)
-            assert not consumer.is_alive()
-            assert len(calls) == 2  # only the two in-flight cells searched
-            kinds = [e.kind for e in events]
-            assert kinds.count("completed") == 2
-            assert "failed" not in kinds
-            assert events[-1].done == 2 < 6  # skipped cells have no terminal event
-        finally:
-            del ALGORITHMS["test-pool-cancel"]
 
     def test_run_many_rejects_a_bare_spec(self):
         with pytest.raises(TypeError, match="Engine.run"):

@@ -17,15 +17,9 @@ import pytest
 
 from repro.api import Engine, SearchSpec
 from repro.games.base import GameState
-from repro.parallel.jobs import (
-    CachingJobExecutor,
-    DirectJobExecutor,
-    JobExecutor,
-    PooledJobExecutor,
-)
+from repro.parallel.jobs import CachingJobExecutor, DirectJobExecutor, JobExecutor
 from repro.parallel import roles
 from repro.parallel.messages import ClientJob, estimate_child_size, estimate_state_size
-from repro.parallel.pool import PersistentWorkerPool
 from repro.workloads import get_workload
 
 #: a full level-2 rollout: every median step ships a fresh position
@@ -70,21 +64,17 @@ def _result(report):
 
 def _run_every_executor(spec, state=None):
     """Run ``spec`` once per executor kind; returns ``(results, executors)``."""
-    with PersistentWorkerPool(n_workers=1) as pool:
-        executors = {
-            "direct": DirectJobExecutor(),
-            "caching": CachingJobExecutor(),
-            "caching-pooled": CachingJobExecutor(PooledJobExecutor(pool=pool)),
-            "user": StrictExecutor(),
-        }
-        results = {
-            name: _result(
-                Engine(executor=executor).run(
-                    spec, state=None if state is None else state.copy()
-                )
-            )
-            for name, executor in executors.items()
-        }
+    executors = {
+        "direct": DirectJobExecutor(),
+        "caching": CachingJobExecutor(),
+        "user": StrictExecutor(),
+    }
+    results = {
+        name: _result(
+            Engine(executor=executor).run(spec, state=None if state is None else state.copy())
+        )
+        for name, executor in executors.items()
+    }
     return results, executors
 
 
@@ -96,8 +86,8 @@ class TestExecutorMatrix:
         assert executors["user"].positions == executors["direct"].jobs_executed > 0
 
     def test_every_executor_returns_the_same_morpion_run(self):
-        """Morpion moves are namedtuples (leftmove's are ints): a pool that
-        handed back plain tuples would change the stored sequence."""
+        """Morpion moves are namedtuples (leftmove's are ints): an executor
+        that handed back plain tuples would change the stored sequence."""
         # Four moves from the end of a level-1 game keeps the run to ~700 jobs.
         state = get_workload("morpion-small").state()
         played = Engine().run(SearchSpec(workload="morpion-small", level=1, seed=3))

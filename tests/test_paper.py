@@ -252,10 +252,11 @@ class TestPaperSweeps:
         assert [len(s) for s in sweeps.values()] == [4, 12, 12, 12, 12, 8]
         assert {spec.seed for s in sweeps.values() for spec in s.specs()} == {7}
         assert sweeps["table2"].axes["n_clients"] == PAPER_CLIENTS
-        # Each is a document `repro sweep --spec` runs.  The JSON form sorts
-        # the axis names, which reorders the cells but keeps the grid.
+        # Each is a document `repro sweep --spec` runs, cell for cell.
         for sweep in sweeps.values():
-            assert set(SweepSpec.from_json(sweep.to_json()).specs()) == set(sweep.specs())
+            restored = SweepSpec.from_json(sweep.to_json())
+            assert restored == sweep
+            assert list(restored.cells()) == list(sweep.cells())
 
 
 @pytest.fixture(scope="module")

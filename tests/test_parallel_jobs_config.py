@@ -36,13 +36,6 @@ class TestParallelConfig:
         with pytest.raises(ValueError):
             ParallelConfig(max_root_steps=0)
 
-    def test_with_dispatcher(self):
-        config = ParallelConfig(level=3)
-        other = config.with_dispatcher("lm")
-        assert other.dispatcher is DispatcherKind.LAST_MINUTE
-        assert config.dispatcher is DispatcherKind.ROUND_ROBIN  # original unchanged
-        assert other.level == 3
-
 
 class TestMessages:
     def test_estimate_state_size_grows_with_moves(self):

@@ -1,7 +1,7 @@
 """Tests for the process-parallel sweep substrate (repro.lab.procpool).
 
 The contract under test: ``Engine.stream(..., executor="process")`` behaves
-*exactly* like the inline/thread paths — same started/cached/completed/failed
+*exactly* like the inline path — same started/cached/completed/failed
 event stream, same done/total progress, same error policies, same
 cooperative cancellation, same store records — while the cells actually
 execute in worker processes.
@@ -67,9 +67,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown executor"):
             _events(Engine().stream([GRID.base], executor="fibers"))
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            _events(Engine().stream([GRID.base], executor="process", chunk_size=0))
+    def test_thread_executor_is_gone(self):
+        with pytest.raises(ValueError, match="unknown executor 'thread'"):
+            _events(Engine().stream([GRID.base], executor="thread", max_workers=2))
+
+    def test_max_workers_needs_the_process_executor(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            _events(Engine().stream([GRID.base], max_workers=2))
+        with pytest.raises(ValueError, match="max_workers"):
+            Engine().run_many([GRID.base], executor="inline", max_workers=2)
 
     def test_custom_job_executor_cannot_cross_processes(self):
         from repro.parallel.jobs import CachingJobExecutor
@@ -90,9 +96,7 @@ class TestDeterminism:
         serial_store = ResultStore(tmp_path / "serial")
         proc_store = ResultStore(tmp_path / "proc")
         Engine().run_many(GRID, store=serial_store)
-        Engine().run_many(
-            GRID, store=proc_store, executor="process", max_workers=2, chunk_size=1
-        )
+        Engine().run_many(GRID, store=proc_store, executor="process", max_workers=2)
         assert sorted(serial_store.keys()) == sorted(proc_store.keys())
         serial_records = {r["key"]: r for r in serial_store.records()}
         for record in proc_store.records():
@@ -128,9 +132,7 @@ class TestDeterminism:
 class TestEventContract:
     def test_started_precedes_terminal_and_progress_counts(self):
         specs = [GRID.base.replace(seed=s, backend="sequential") for s in range(5)]
-        events = _events(
-            Engine().stream(specs, executor="process", max_workers=2, chunk_size=2)
-        )
+        events = _events(Engine().stream(specs, executor="process", max_workers=2))
         assert all(event.total == 5 for event in events)
         started = [event.index for event in events if event.kind == "started"]
         terminal = [event for event in events if event.terminal]
@@ -173,28 +175,17 @@ class TestEventContract:
 
 
 class TestChunking:
-    def test_explicit_chunk_size_controls_ipc_rounds(self):
-        specs = [GRID.base.replace(seed=s, backend="sequential") for s in range(8)]
+    def test_auto_chunk_size_is_used_by_default(self):
+        specs = [GRID.base.replace(seed=s, backend="sequential") for s in range(16)]
         pool = shared_sweep_pool(2)
         chunks_before, cells_before = pool.chunks_dispatched, pool.cells_dispatched
-        events = _events(
-            Engine().stream(specs, executor="process", max_workers=2, chunk_size=3)
-        )
+        events = _events(Engine().stream(specs, executor="process", max_workers=2))
+        assert auto_chunk_size(16, 2) == 2
         pool = shared_sweep_pool(2)
-        assert pool.chunks_dispatched - chunks_before == 3  # ceil(8 / 3)
-        assert pool.cells_dispatched - cells_before == 8
+        assert pool.chunks_dispatched - chunks_before == 8
+        assert pool.cells_dispatched - cells_before == 16
         # Chunked dispatch never batches *events*: one frame per cell.
-        assert sorted(_kinds(events)) == ["completed"] * 8 + ["started"] * 8
-
-    def test_auto_chunk_size_is_used_by_default(self):
-        specs = [GRID.base.replace(seed=s, backend="sequential") for s in range(8)]
-        pool = shared_sweep_pool(2)
-        chunks_before = pool.chunks_dispatched
-        Engine().run_many(specs, executor="process", max_workers=2)
-        expected = auto_chunk_size(8, 2)
-        assert shared_sweep_pool(2).chunks_dispatched - chunks_before == (
-            (8 + expected - 1) // expected
-        )
+        assert sorted(_kinds(events)) == ["completed"] * 16 + ["started"] * 16
 
 
 class TestErrorPolicy:
@@ -295,7 +286,6 @@ class TestCancellationAndResume:
                 store=store,
                 executor="process",
                 max_workers=2,
-                chunk_size=1,
                 cancel=cancelled,
                 error_policy="skip",
             ):
@@ -314,9 +304,7 @@ class TestCancellationAndResume:
 
             # Resume: the two completed cells come back cached, zero re-runs.
             resumed = _events(
-                engine.stream(
-                    specs, store=store, executor="process", max_workers=2, chunk_size=1
-                )
+                engine.stream(specs, store=store, executor="process", max_workers=2)
             )
             resumed_kinds = _kinds(resumed)
             assert resumed_kinds.count("cached") == 2

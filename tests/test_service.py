@@ -193,6 +193,23 @@ class TestServiceLifecycle:
         assert service.status(first["job_id"])["attached"] == 2
         assert service.service_stats()["attached"] == 1
 
+    def test_sweep_dedup_keeps_axis_order_but_not_params_order(self):
+        """Axis order defines cell order, so it splits the in-flight key;
+        the insertion order of ``params`` does not."""
+        base = SearchSpec(workload="leftmove", level=1, params={"a": 1, "b": 2})
+        axes = {"seed": (0, 1), "level": (1, 2)}
+        service = SearchService()  # no workers: jobs stay queued
+        first = service.submit(SweepSpec(base=base, axes=axes))
+        flipped = service.submit(SweepSpec(base=base, axes=dict(reversed(axes.items()))))
+        assert flipped["status"] == "queued" and flipped["key"] != first["key"]
+        reordered = service.submit(
+            SweepSpec(base=base.replace(params={"b": 2, "a": 1}), axes=axes)
+        )
+        assert reordered == {
+            "status": "attached", "job_id": first["job_id"], "state": "queued",
+            "key": first["key"],
+        }
+
     def test_resubmission_after_completion_is_store_cached(self, recorder, tmp_path):
         with SearchService(store=ResultStore(tmp_path / "store")) as service:
             first = service.submit(PROBE)

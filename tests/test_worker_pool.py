@@ -19,7 +19,6 @@ from repro.games.tsp import TSPInstance, TSPState
 from repro.games.weakschur import WeakSchurState
 from repro.lab import ResultStore
 from repro.parallel import pool as pool_module
-from repro.parallel.jobs import DirectJobExecutor, PooledJobExecutor
 from repro.parallel.pool import PersistentWorkerPool, close_shared_pool, shared_pool
 from repro.prng import SeedSequence
 from repro.workloads import get_workload
@@ -116,15 +115,6 @@ class TestPersistentWorkerPool:
             reference = evaluate_move(state, move, 0, child_seeds)
             assert (score, sequence) == (reference.score, tuple(reference.sequence))
 
-    def test_run_search_matches_direct_executor(self, pool):
-        state = get_workload("morpion-small").state()
-        seeds = SeedSequence(13, "job", 4)
-        direct = DirectJobExecutor().execute(state, 1, seeds)
-        pooled = PooledJobExecutor(pool=pool).execute(state, 1, seeds)
-        assert pooled.score == direct.score
-        assert tuple(pooled.sequence) == tuple(direct.sequence)
-        assert pooled.work_units == direct.work_units
-
     def test_closed_pool_rejects_work(self):
         pool = PersistentWorkerPool(n_workers=1)
         pool.close()
@@ -188,9 +178,20 @@ class TestSharedByThreads:
             assert pool.evaluate_candidates(state, evaluations, 0) == serial
 
     def test_thread_stream_of_multiprocessing_cells_matches_serial(self):
+        """Two threads streaming at once, as two service workers do."""
         serial = Engine().run_many(MP_SPECS)
-        threaded = Engine().run_many(MP_SPECS, max_workers=2, error_policy="skip")
-        assert _stored_form(threaded) == _stored_form(serial)
+        results = {}
+
+        def stream(slot):
+            results[slot] = _stored_form(Engine().run_many(MP_SPECS))
+
+        threads = [threading.Thread(target=stream, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert results == {slot: _stored_form(serial) for slot in range(2)}
         # No stale frame is left behind for the next caller.
         assert _stored_form(Engine().run_many(MP_SPECS)) == _stored_form(serial)
 
