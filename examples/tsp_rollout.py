@@ -4,7 +4,7 @@ Section II of the paper cites Guerriero & Mancini's parallel rollout
 strategies evaluated on the TSP and the SOP.  This example runs the library's
 search algorithms on a random Euclidean TSP instance and compares them with
 the greedy nearest-neighbour heuristic, then shows the same search running on
-the simulated cluster and on a local process pool.
+the simulated cluster.
 
 Run with:  python examples/tsp_rollout.py
 """
@@ -44,8 +44,8 @@ def main() -> None:
             f"({time.perf_counter() - start:.1f}s, {result.work.playouts} rollouts)"
         )
 
-    # The same level-2 search on two other substrates: one spec per scenario,
-    # only the backend field changes (see repro.api / docs/API.md).
+    # The same level-2 search on the simulated cluster: only the backend field
+    # of the spec changes (see repro.api / docs/API.md).
     engine = Engine()
     spec = SearchSpec(workload="tsp", algorithm="nmcs", level=2, seed=0)
     cluster_run = engine.run(
@@ -54,14 +54,6 @@ def main() -> None:
     print(
         f"parallel NMCS level 2 (8 simulated clients): {-cluster_run.score:8.1f} "
         f"in {cluster_run.simulated_seconds:.1f} simulated seconds"
-    )
-
-    local = engine.run(
-        spec.replace(backend="multiprocessing", n_workers=4), state=state.copy()
-    )
-    print(
-        f"parallel NMCS level 2 (4 local processes):   {-local.score:8.1f} "
-        f"in {local.wall_seconds:.1f} wall-clock seconds"
     )
 
 

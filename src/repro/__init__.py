@@ -16,8 +16,8 @@ The library is organised as:
 * :mod:`repro.cluster` — the simulated heterogeneous cluster (discrete-event
   kernel, nodes, network, traces);
 * :mod:`repro.parallel` — the paper's parallel algorithms (root / median /
-  dispatcher / client roles, Round-Robin and Last-Minute dispatching) plus
-  the real local executor on worker processes;
+  dispatcher / client roles, Round-Robin and Last-Minute dispatching) and
+  the worker-process pool that runs batches of cells;
 * :mod:`repro.paper` — the paper as data: one sweep per table, the published
   numbers beside ours and an automatic fidelity check (``repro paper``);
 * :mod:`repro.timemodel`, :mod:`repro.analysis`, :mod:`repro.paperdata`,
@@ -36,8 +36,9 @@ Quickstart
 ----------
 Describe a scenario with a :class:`SearchSpec` and run it through an
 :class:`Engine`; change *one field* to move the same search between the
-sequential baseline, the simulated cluster (Round-Robin or Last-Minute) and
-the local process pool (see ``docs/API.md`` for the full tour):
+sequential baseline and the simulated cluster (Round-Robin or Last-Minute),
+and pass ``executor="process"`` to ``Engine.run_many`` to run a batch of
+them on worker processes (see ``docs/API.md`` for the full tour):
 
 >>> from repro import Engine, SearchSpec
 >>> from repro.paper import calibrated_cost_model
@@ -50,8 +51,8 @@ True
 >>> cluster.simulated_seconds < sequential.simulated_seconds  # but faster
 True
 
-The kernels under the API (``nmcs``, ``run_parallel_nmcs``,
-``multiprocessing_nmcs``) remain importable for callers that need them.
+The kernels under the API (``nmcs``, ``run_parallel_nmcs``) remain
+importable for callers that need them.
 """
 
 from repro.api import (
@@ -101,7 +102,6 @@ from repro.parallel import (
     DispatcherKind,
     ParallelConfig,
     ParallelRunResult,
-    multiprocessing_nmcs,
     run_parallel_nmcs,
 )
 from repro.service import (
@@ -171,7 +171,6 @@ __all__ = [
     "ParallelRunResult",
     "CachingJobExecutor",
     "run_parallel_nmcs",
-    "multiprocessing_nmcs",
     # service
     "SearchService",
     "ServiceConfig",

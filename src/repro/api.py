@@ -23,8 +23,8 @@ Extensibility is registry-based:
   (the six bundled searches — sample, flat, nmcs, reflexive, iterated,
   nrpa — are registered this way);
 * :func:`register_backend` adds an execution substrate conforming to the
-  ``(spec, algorithm, ctx) -> RunReport`` protocol (bundled: ``sequential``,
-  ``sim-cluster`` on the discrete-event kernel, ``multiprocessing``).
+  ``(spec, algorithm, ctx) -> RunReport`` protocol (bundled: ``sequential``
+  and ``sim-cluster`` on the discrete-event kernel).
 
 Specs and reports serialise to/from dict and JSON (:meth:`SearchSpec.to_json`,
 :meth:`SearchSpec.from_json`, :meth:`RunReport.to_json`), so sweeps can be
@@ -84,7 +84,6 @@ from repro.games.base import GameState, Move
 from repro.parallel.config import DispatcherKind, ParallelConfig
 from repro.parallel.driver import run_parallel_nmcs
 from repro.parallel.jobs import CachingJobExecutor, JobExecutor
-from repro.parallel.multiproc import multiprocessing_nmcs
 from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
 from repro.obs import enabled as _obs_enabled
@@ -160,11 +159,6 @@ def to_jsonable(obj: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and callable(obj.item):  # numpy scalars
-        try:
-            return to_jsonable(obj.item())
-        except (TypeError, ValueError):
-            pass
     return repr(obj)
 
 
@@ -202,9 +196,6 @@ class SearchSpec:
         ``"heterogeneous:<N>x<a>+<M>x<b>"`` (Table VI style).
     n_clients / n_medians:
         Simulated cluster sizing.
-    n_workers:
-        Worker-process count for the ``multiprocessing`` backend
-        (``None`` = the CPU count).
     freq_ghz / units_per_ghz:
         Cost-model parameters mapping work units to simulated seconds.
     memorize_best_sequence:
@@ -226,7 +217,6 @@ class SearchSpec:
     cluster: str = "homogeneous"
     n_clients: int = 8
     n_medians: int = 40
-    n_workers: Optional[int] = None
     freq_ghz: float = 1.86
     units_per_ghz: Optional[float] = None
     memorize_best_sequence: bool = True
@@ -244,8 +234,6 @@ class SearchSpec:
             raise ValueError("n_clients must be >= 1")
         if self.n_medians < 1:
             raise ValueError("n_medians must be >= 1")
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1 when given")
         if self.freq_ghz <= 0:
             raise ValueError("freq_ghz must be positive")
         if self.units_per_ghz is not None and self.units_per_ghz <= 0:
@@ -300,10 +288,11 @@ class SearchSpec:
 class RunReport:
     """What every backend returns: one schema for all algorithm × backend pairs.
 
-    ``raw`` keeps the backend-native result object (``SearchResult``,
-    ``ParallelRunResult``, ``MultiprocessResult``, ...) for callers that need
-    substrate-specific detail (e.g. the execution trace); it is excluded from
-    the serialised form.
+    ``raw`` keeps the backend-native result object (``SearchResult`` or
+    ``ParallelRunResult``) for callers that need substrate-specific detail
+    (e.g. the execution trace); it is excluded from the serialised form.
+    ``n_jobs`` and ``n_workers`` are set by the ``sim-cluster`` backend only:
+    the client jobs dispatched and the simulated cluster's client count.
     """
 
     spec: SearchSpec
@@ -429,8 +418,8 @@ class BackendEntry:
 
     ``fn`` follows the protocol ``(spec, algorithm, ctx) -> RunReport``.
     ``algorithms`` restricts which registered algorithms the substrate can
-    execute (``None`` = all); the two parallel substrates distribute the
-    nested search specifically, so they declare ``("nmcs",)``.  ``params``
+    execute (``None`` = all); the ``sim-cluster`` substrate distributes the
+    nested search specifically, so it declares ``("nmcs",)``.  ``params``
     declares substrate-level parameter names the backend reads from
     ``spec.params`` (e.g. ``lm_fifo_jobs``); they are accepted in addition
     to the algorithm's own declared params.
@@ -1231,36 +1220,5 @@ def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCo
         comm=dict(summary.counts),
         client_utilisation=run.client_utilisation(),
         kernel_stats=run.kernel_stats.to_dict() if run.kernel_stats is not None else None,
-        raw=run,
-    )
-
-
-@register_backend(
-    "multiprocessing",
-    description="real root-level fan-out on a local process pool (GIL-free)",
-    algorithms=("nmcs",),
-)
-def _backend_multiprocessing(
-    spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunContext
-) -> RunReport:
-    if ctx.level < 1:
-        raise ValueError("the multiprocessing backend needs level >= 1")
-    run = multiprocessing_nmcs(
-        ctx.state,
-        ctx.level,
-        master_seed=spec.seed,
-        n_workers=spec.n_workers,
-        max_steps=spec.max_steps,
-    )
-    return RunReport(
-        spec=spec,
-        algorithm=algorithm.name,
-        backend=spec.backend,
-        level=ctx.level,
-        score=run.score,
-        sequence=tuple(run.result.sequence),
-        wall_seconds=run.wall_seconds,
-        n_jobs=run.n_evaluations,
-        n_workers=run.n_workers,
         raw=run,
     )

@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cluster", default=omit, help="cluster descriptor (sim-cluster backend)")
         p.add_argument("--clients", type=int, default=omit, help="simulated clients (sim-cluster backend)")
         p.add_argument("--medians", type=int, default=omit, help="median processes (sim-cluster backend)")
-        p.add_argument("--workers", type=int, default=omit, help="worker processes (multiprocessing backend)")
         p.add_argument(
             "--param",
             action="append",
@@ -287,7 +286,6 @@ _RUN_FLAG_FIELDS = {
     "cluster": "cluster",
     "clients": "n_clients",
     "medians": "n_medians",
-    "workers": "n_workers",
 }
 
 

@@ -215,8 +215,7 @@ def heterogeneous_cluster(
 def single_machine(n_clients: int = 4, freq_ghz: float = 2.33, cores: int = 4) -> ClusterSpec:
     """Everything (root, medians, dispatcher, clients) on one multi-core host.
 
-    Used by tests and by the comparison against the real ``multiprocessing``
-    executor, which also runs on a single host.
+    This is the ``"single"`` cluster descriptor of :class:`repro.api.SearchSpec`.
     """
     node = NodeSpec(name="host", freq_ghz=freq_ghz, cores=cores)
     clients = [ClientPlacement(f"client-{i:03d}", "host") for i in range(n_clients)]

@@ -20,7 +20,7 @@ Design notes
 
 Fast-state protocol (see docs/GAMES.md)
 ---------------------------------------
-Three opt-in extensions let hot kernels avoid per-move overhead without
+Two opt-in extensions let hot kernels avoid per-move overhead without
 changing what any search computes:
 
 * :meth:`GameState.playout` — the **in-place playout** primitive.  The base
@@ -34,21 +34,14 @@ changing what any search computes:
   (Morpion keeps an undo journal, TSP pops the tour tail).  Kernels whose
   ``apply`` destroys information (SameGame gravity) simply keep
   ``can_undo() == False`` and rely on ``copy()`` scratch states.
-* :meth:`GameState.encode` / :func:`decode_state` — compact, pickle-free
-  wire forms for shipping positions to worker processes
-  (:mod:`repro.parallel.pool`).  A subclass opts in by setting a
-  ``WIRE_KIND`` tag and implementing ``encode_payload`` /
-  ``decode_payload``; states without a codec fall back to a tagged pickle
-  frame so the worker pool stays generic.
 """
 
 from __future__ import annotations
 
 import abc
-import pickle
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Hashable, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Hashable, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Move",
@@ -59,16 +52,7 @@ __all__ = [
     "random_playout",
     "playout_from",
     "legal_after",
-    "decode_state",
-    "wire_kinds",
 ]
-
-#: Wire-format decoders, keyed by the ``WIRE_KIND`` tag of the state class.
-#: Populated automatically by ``GameState.__init_subclass__``.
-_WIRE_DECODERS: Dict[str, Callable[[bytes], "GameState"]] = {}
-
-#: Reserved tag for the pickle fallback frame (never a registered kind).
-_PICKLE_KIND = "pickle"
 
 #: A move may be any hashable object; domains define their own concrete types.
 Move = Hashable
@@ -80,25 +64,6 @@ class GameState(abc.ABC):
     Implementations must be *self-contained*: copying a state and playing
     moves on the copy must never affect the original.
     """
-
-    #: Wire-format tag for :meth:`encode`; ``None`` means "no compact codec,
-    #: fall back to a tagged pickle frame".  Subclasses that set it must
-    #: implement :meth:`encode_payload` and :meth:`decode_payload`.
-    WIRE_KIND: ClassVar[Optional[str]] = None
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        kind = cls.__dict__.get("WIRE_KIND")
-        if kind is not None:
-            if kind == _PICKLE_KIND:
-                raise ValueError(f"WIRE_KIND {kind!r} is reserved for the pickle fallback")
-            existing = getattr(_WIRE_DECODERS.get(kind), "__self__", None)
-            if existing is not None and (
-                existing.__module__ != cls.__module__
-                or existing.__qualname__ != cls.__qualname__
-            ):
-                raise ValueError(f"duplicate WIRE_KIND {kind!r}")
-            _WIRE_DECODERS[kind] = cls.decode_payload
 
     # ------------------------------------------------------------------ #
     # Abstract primitives
@@ -213,35 +178,6 @@ class GameState(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} does not support undo")
 
-    # ------------------------------------------------------------------ #
-    # Compact wire forms (opt-in; pickle fallback otherwise)
-    # ------------------------------------------------------------------ #
-    def encode(self) -> bytes:
-        """Compact wire form of this state (``decode_state`` inverts it).
-
-        The frame is ``<kind>\\x00<payload>``.  Classes with a ``WIRE_KIND``
-        emit their compact payload; every other state is wrapped in a tagged
-        pickle frame so the worker pool can ship *any* game, just not as
-        compactly.
-        """
-        kind = type(self).WIRE_KIND
-        if kind is None:
-            return _PICKLE_KIND.encode("ascii") + b"\x00" + pickle.dumps(
-                self, pickle.HIGHEST_PROTOCOL
-            )
-        return kind.encode("ascii") + b"\x00" + self.encode_payload()
-
-    def encode_payload(self) -> bytes:
-        """The ``WIRE_KIND``-specific payload of :meth:`encode`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} sets no WIRE_KIND / compact payload"
-        )
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "GameState":
-        """Rebuild a state from the payload produced by :meth:`encode_payload`."""
-        raise NotImplementedError(f"{cls.__name__} sets no WIRE_KIND / compact payload")
-
 
 @dataclass
 class Sequence:
@@ -345,30 +281,3 @@ def random_playout(
 def legal_after(state: GameState, moves: Iterable[Move]) -> List[Move]:
     """Legal moves after playing ``moves`` from ``state`` (convenience)."""
     return play_sequence(state, moves).legal_moves()
-
-
-def decode_state(data: bytes) -> GameState:
-    """Inverse of :meth:`GameState.encode`.
-
-    Dispatches on the frame's kind tag: registered ``WIRE_KIND`` payloads go
-    through the class codec, ``pickle`` frames through ``pickle.loads``.
-    """
-    kind_bytes, sep, payload = data.partition(b"\x00")
-    if not sep:
-        raise ValueError("not a state wire frame (missing kind separator)")
-    kind = kind_bytes.decode("ascii", errors="replace")
-    if kind == _PICKLE_KIND:
-        state = pickle.loads(payload)
-        if not isinstance(state, GameState):
-            raise ValueError(f"pickle frame did not contain a GameState: {type(state)!r}")
-        return state
-    decoder = _WIRE_DECODERS.get(kind)
-    if decoder is None:
-        known = ", ".join(sorted(_WIRE_DECODERS)) or "(none)"
-        raise ValueError(f"unknown state wire kind {kind!r}; registered kinds: {known}")
-    return decoder(payload)
-
-
-def wire_kinds() -> Tuple[str, ...]:
-    """The registered compact wire kinds (sorted; excludes the pickle fallback)."""
-    return tuple(sorted(_WIRE_DECODERS))

@@ -30,7 +30,6 @@ playout goldens (``tests/data/playout_golden.json``) pin this.
 from __future__ import annotations
 
 import enum
-import struct
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.games.base import GameState, Move
@@ -106,8 +105,6 @@ class MorpionState(GameState):
         CI-sized benchmark workloads can bound the cost of a playout while
         keeping the branching structure of the real game.
     """
-
-    WIRE_KIND = "morpion"
 
     __slots__ = (
         "line_length",
@@ -460,54 +457,6 @@ class MorpionState(GameState):
 
     def moves_played(self) -> int:
         return len(self._history)
-
-    # ------------------------------------------------------------------ #
-    # Compact wire form: rules header + initial points + history (replayed
-    # on decode, which is exact because apply is deterministic).
-    # ------------------------------------------------------------------ #
-    def encode_payload(self) -> bytes:
-        variant_flag = 0 if self.variant is MorpionVariant.DISJOINT else 1
-        max_moves = 0 if self.max_moves is None else self.max_moves + 1
-        parts = [
-            struct.pack(
-                "<BBiII",
-                self.line_length,
-                variant_flag,
-                max_moves,
-                len(self._initial),
-                len(self._history),
-            )
-        ]
-        for (x, y) in sorted(self._initial):
-            parts.append(struct.pack("<ii", x, y))
-        for m in self._history:
-            parts.append(
-                struct.pack("<iiBii", m.point[0], m.point[1], m.direction, m.start[0], m.start[1])
-            )
-        return b"".join(parts)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "MorpionState":
-        line_length, variant_flag, max_moves, n_initial, n_history = struct.unpack_from(
-            "<BBiII", payload
-        )
-        offset = struct.calcsize("<BBiII")
-        initial = []
-        for _ in range(n_initial):
-            initial.append(struct.unpack_from("<ii", payload, offset))
-            offset += 8
-        state = cls(
-            line_length=line_length,
-            variant=MorpionVariant.TOUCHING if variant_flag else MorpionVariant.DISJOINT,
-            initial_points=initial,
-            max_moves=None if max_moves == 0 else max_moves - 1,
-        )
-        move_size = struct.calcsize("<iiBii")
-        for _ in range(n_history):
-            px, py, di, sx, sy = struct.unpack_from("<iiBii", payload, offset)
-            offset += move_size
-            state.apply(MorpionMove((px, py), di, (sx, sy)))
-        return state
 
     # ------------------------------------------------------------------ #
     # Introspection used by rendering, records and tests

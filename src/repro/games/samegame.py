@@ -37,7 +37,6 @@ playout goldens (``tests/data/playout_golden.json``) pin this.
 from __future__ import annotations
 
 import random
-import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.games.base import GameState, Move
@@ -72,8 +71,6 @@ class SameGameState(GameState):
     """SameGame position (see module docstring)."""
 
     FULL_CLEAR_BONUS = 1000.0
-
-    WIRE_KIND = "samegame"
 
     __slots__ = ("_columns", "_score", "_moves_played", "height", "_group_cache")
 
@@ -252,37 +249,6 @@ class SameGameState(GameState):
 
     def moves_played(self) -> int:
         return self._moves_played
-
-    # ------------------------------------------------------------------ #
-    # Compact wire form
-    # ------------------------------------------------------------------ #
-    def encode_payload(self) -> bytes:
-        """``<height, score, moves_played, n_cols>`` header + length-prefixed columns."""
-        parts = [
-            struct.pack("<IdII", self.height, self._score, self._moves_played, len(self._columns))
-        ]
-        for col in self._columns:
-            parts.append(struct.pack("<I", len(col)))
-            parts.append(bytes(col))
-        return b"".join(parts)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "SameGameState":
-        height, score, moves_played, n_cols = struct.unpack_from("<IdII", payload)
-        offset = struct.calcsize("<IdII")
-        columns: List[bytearray] = []
-        for _ in range(n_cols):
-            (length,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            columns.append(bytearray(payload[offset : offset + length]))
-            offset += length
-        state = cls.__new__(cls)
-        state._columns = columns
-        state.height = height
-        state._score = score
-        state._moves_played = moves_played
-        state._group_cache = None
-        return state
 
     # ------------------------------------------------------------------ #
     # Introspection helpers used by tests and examples

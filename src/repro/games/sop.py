@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.games.base import GameState, Move
 
 __all__ = ["SOPInstance", "SOPState"]
@@ -33,23 +31,24 @@ class SOPInstance:
     Attributes
     ----------
     costs:
-        Asymmetric cost matrix, shape ``(n, n)``.
+        Asymmetric cost matrix as ``n`` rows of ``n`` floats, indexed
+        ``costs[i][j]``.
     predecessors:
         ``predecessors[i]`` is the frozenset of nodes that must be visited
         before node ``i``.  Node 0 (start) has no predecessors and node
         ``n-1`` (end) implicitly requires every other node.
     """
 
-    costs: np.ndarray
+    costs: Tuple[Tuple[float, ...], ...]
     predecessors: Tuple[FrozenSet[int], ...]
 
     @property
     def n_nodes(self) -> int:
-        return int(self.costs.shape[0])
+        return len(self.costs)
 
     def __post_init__(self) -> None:
-        n = self.costs.shape[0]
-        if self.costs.shape != (n, n):
+        n = len(self.costs)
+        if any(len(row) != n for row in self.costs):
             raise ValueError("cost matrix must be square")
         if len(self.predecessors) != n:
             raise ValueError("predecessors must have one entry per node")
@@ -80,9 +79,9 @@ class SOPInstance:
             raise ValueError("precedence_density must be in [0, 1]")
         rng = random.Random(seed)
         lo, hi = cost_range
-        costs = np.array(
-            [[0 if i == j else rng.randint(lo, hi) for j in range(n_nodes)] for i in range(n_nodes)],
-            dtype=float,
+        costs = tuple(
+            tuple(0.0 if i == j else float(rng.randint(lo, hi)) for j in range(n_nodes))
+            for i in range(n_nodes)
         )
         preds: List[set] = [set() for _ in range(n_nodes)]
         for j in range(1, n_nodes - 1):
@@ -99,7 +98,7 @@ class SOPInstance:
             raise ValueError("path must visit every node exactly once")
         if path[0] != 0 or path[-1] != self.n_nodes - 1:
             raise ValueError("path must start at node 0 and end at the last node")
-        return float(sum(self.costs[path[i], path[i + 1]] for i in range(len(path) - 1)))
+        return float(sum(self.costs[path[i]][path[i + 1]] for i in range(len(path) - 1)))
 
     def is_feasible(self, path: Sequence[int]) -> bool:
         """True if ``path`` respects every precedence constraint."""
@@ -139,7 +138,7 @@ class SOPState(GameState):
         if move not in self.legal_moves():
             raise ValueError(f"illegal SOP move {move!r}")
         last = self._path[-1]
-        self._cost += float(self.instance.costs[last, move])
+        self._cost += self.instance.costs[last][move]
         self._path.append(move)
         self._visited.add(move)
 
@@ -163,7 +162,7 @@ class SOPState(GameState):
     def heuristic_moves(self) -> List[Move]:
         """Feasible successors ordered by immediate cost (cheapest first)."""
         last = self._path[-1]
-        return sorted(self.legal_moves(), key=lambda c: float(self.instance.costs[last, c]))
+        return sorted(self.legal_moves(), key=lambda c: self.instance.costs[last][c])
 
     # ------------------------------------------------------------------ #
     # Introspection

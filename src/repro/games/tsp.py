@@ -20,23 +20,21 @@ against.
 Fast-kernel notes
 -----------------
 The tour length is maintained incrementally (one distance-row lookup per
-apply) on plain Python-float distance rows — per-element indexing of the
-numpy matrix dominates a playout otherwise — and ``legal_moves`` walks a
-per-city neighbour order precomputed once per instance instead of sorting
-the remaining cities every call.  Both tables are built lazily and shared by
-``copy()``; a Python stable sort by distance equals the precomputed
-``(distance, index)`` order walk, so move ordering is bit-identical with the
-reference implementation (pinned by ``tests/data/playout_golden.json``).
+apply) on the instance's Python-float distance rows, and ``legal_moves``
+walks a per-city neighbour order precomputed once per instance instead of
+sorting the remaining cities every call.  The order table is built lazily
+and shared by ``copy()``; a Python stable sort by distance equals the
+precomputed ``(distance, index)`` order walk, so move ordering is
+bit-identical with the reference implementation (pinned by
+``tests/data/playout_golden.json``).
 """
 
 from __future__ import annotations
 
+import math
 import random
-import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.games.base import GameState, Move
 
@@ -48,7 +46,7 @@ class TSPInstance:
     """An immutable TSP instance: city coordinates and the distance matrix."""
 
     coords: Tuple[Tuple[float, float], ...]
-    distances: np.ndarray  # shape (n, n), symmetric, zero diagonal
+    distances: Tuple[Tuple[float, ...], ...]  # [i][j], symmetric, zero diagonal
 
     @property
     def n_cities(self) -> int:
@@ -57,14 +55,21 @@ class TSPInstance:
     @classmethod
     def from_coords(cls, coords: Sequence[Tuple[float, float]]) -> "TSPInstance":
         """Build an instance from Euclidean city coordinates."""
-        pts = np.asarray(coords, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("coords must be a sequence of (x, y) pairs")
+        try:
+            pts = tuple((float(x), float(y)) for x, y in coords)
+        except (TypeError, ValueError):
+            raise ValueError("coords must be a sequence of (x, y) pairs") from None
         if len(pts) < 2:
             raise ValueError("a TSP instance needs at least 2 cities")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=-1))
-        return cls(tuple(map(tuple, pts.tolist())), dist)
+        # dx * dx, not dx ** 2 or math.hypot: those round differently, and the
+        # playout goldens pin these exact doubles.
+        dist = tuple(
+            tuple(
+                math.sqrt((xi - xj) * (xi - xj) + (yi - yj) * (yi - yj)) for xj, yj in pts
+            )
+            for xi, yi in pts
+        )
+        return cls(pts, dist)
 
     @classmethod
     def random(cls, n_cities: int = 20, seed: int = 0, side: float = 100.0) -> "TSPInstance":
@@ -79,7 +84,7 @@ class TSPInstance:
             raise ValueError("tour must visit every city exactly once")
         total = 0.0
         for i in range(len(tour)):
-            total += float(self.distances[tour[i], tour[(i + 1) % len(tour)]])
+            total += self.distances[tour[i]][tour[(i + 1) % len(tour)]]
         return total
 
     def nearest_neighbour_tour(self, start: int = 0) -> List[int]:
@@ -89,13 +94,13 @@ class TSPInstance:
         tour = [start]
         while unvisited:
             last = tour[-1]
-            nxt = min(unvisited, key=lambda c: float(self.distances[last, c]))
+            nxt = min(unvisited, key=lambda c: self.distances[last][c])
             unvisited.remove(nxt)
             tour.append(nxt)
         return tour
 
-    def fast_tables(self) -> Tuple[List[List[float]], List[List[int]]]:
-        """Hot-path tables: Python-float distance rows and per-city neighbour order.
+    def fast_tables(self) -> Tuple[Tuple[Tuple[float, ...], ...], List[List[int]]]:
+        """Hot-path tables: the distance rows and per-city neighbour order.
 
         ``order[c]`` lists all cities sorted by ``(distances[c][x], x)``, which
         is exactly the order a Python stable sort by distance produces over an
@@ -104,7 +109,7 @@ class TSPInstance:
         """
         cached = getattr(self, "_fast_tables", None)
         if cached is None:
-            rows: List[List[float]] = self.distances.tolist()
+            rows = self.distances
             order = [
                 sorted(range(len(rows)), key=lambda c, row=row: (row[c], c)) for row in rows
             ]
@@ -115,8 +120,6 @@ class TSPInstance:
 
 class TSPState(GameState):
     """Partial tour state over a :class:`TSPInstance`."""
-
-    WIRE_KIND = "tsp"
 
     __slots__ = ("instance", "neighbourhood", "_tour", "_visited", "_length", "_dist", "_order")
 
@@ -201,34 +204,7 @@ class TSPState(GameState):
         """Unvisited cities ordered by distance from the current city."""
         last = self._tour[-1]
         moves = self.legal_moves()
-        return sorted(moves, key=lambda c: float(self.instance.distances[last, c]))
-
-    # ------------------------------------------------------------------ #
-    # Compact wire form: coordinates + neighbourhood + tour; the decoder
-    # replays the tour so the incremental length accumulates identically.
-    # ------------------------------------------------------------------ #
-    def encode_payload(self) -> bytes:
-        coords = self.instance.coords
-        k = 0 if self.neighbourhood is None else self.neighbourhood
-        parts = [struct.pack("<III", len(coords), k, len(self._tour))]
-        for (x, y) in coords:
-            parts.append(struct.pack("<dd", x, y))
-        parts.append(struct.pack(f"<{len(self._tour)}H", *self._tour))
-        return b"".join(parts)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "TSPState":
-        n, k, tour_len = struct.unpack_from("<III", payload)
-        offset = struct.calcsize("<III")
-        coords = []
-        for _ in range(n):
-            coords.append(struct.unpack_from("<dd", payload, offset))
-            offset += 16
-        tour = struct.unpack_from(f"<{tour_len}H", payload, offset)
-        state = cls(TSPInstance.from_coords(coords), neighbourhood=k or None)
-        for city in tour[1:]:
-            state.apply(city)
-        return state
+        return sorted(moves, key=lambda c: self.instance.distances[last][c])
 
     # ------------------------------------------------------------------ #
     # Introspection

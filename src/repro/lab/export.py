@@ -65,7 +65,7 @@ def row_from_report(report: RunReport, *, key: Optional[str] = None) -> Dict[str
         "cluster": spec.cluster,
         "n_clients": spec.n_clients,
         "n_medians": spec.n_medians,
-        "n_workers": report.n_workers if report.n_workers is not None else spec.n_workers,
+        "n_workers": report.n_workers,
         "max_steps": spec.max_steps,
         "score": report.score,
         "sequence_length": report.sequence_length,

@@ -1,29 +1,17 @@
-"""The persistent, pickle-free worker-process pool behind every real parallel path.
+"""The persistent worker-process pool behind ``Engine.stream(executor="process")``.
 
-One pool serves both kinds of out-of-process work in the library:
-
-* **candidate evaluations** — the root-level fan-out of
-  :func:`repro.parallel.multiproc.multiprocessing_nmcs`;
-* **sweep cells** — ``Engine.stream(..., executor="process")``, whose
-  sweep-specific pieces (chunk sizing, the worker-side cell handler,
-  :class:`~repro.lab.procpool.RemoteCellError`) live in
-  :mod:`repro.lab.procpool`.
-
-Both travel as task frames whose first field names their kind (``"job"``, one
-candidate evaluation, or ``"cells"``) and whose second is the id of the batch
-that sent them:
+The pool runs sweep cells.  What is particular to sweeps (chunk sizing, the
+worker-side cell handler, :class:`~repro.lab.procpool.RemoteCellError`)
+lives in :mod:`repro.lab.procpool`; this module owns the processes:
 
 * **Persistent workers** — processes are spawned once and reused across
-  batches, steps, whole searches and sweeps (see :func:`shared_pool` for the
-  process-wide singleton).
-* **Compact wire forms** — positions cross the process boundary as the
-  game's own binary ``encode()`` frame (see :mod:`repro.games.base`), not as
-  a pickled object graph; games without a registered wire kind transparently
-  fall back to pickle payloads inside the same framing.  Sweep cells travel
-  as ``SearchSpec.to_dict()`` documents.
-* **Worker-side decode caching** — every candidate evaluation of a step
-  shares one encoded blob, so each worker decodes a given position at most
-  once and replays cheap ``copy()`` calls for the rest of the batch.
+  batches and whole sweeps (see :func:`shared_pool` for the process-wide
+  singleton).
+* **One kind of task frame** — every task is a ``cells`` frame
+  ``("cells", batch_id, [(cell_index, spec_dict), ...], obs_enabled,
+  network)``.  Cells cross the pipe as ``SearchSpec.to_dict()`` documents
+  and reports come back as ``RunReport.to_dict()``, so no game position or
+  move crosses the process boundary.
 * **One batch at a time** — :meth:`PersistentWorkerPool.begin_batch` holds a
   lock, so threads sharing the pool queue instead of reading each other's
   result frames, and :meth:`~PersistentWorkerPool.next_frame` drops frames
@@ -32,10 +20,6 @@ that sent them:
   error frame; ``next_frame`` notices it at its next empty poll tick, tears
   the pool down and raises ``RuntimeError``, and :func:`shared_pool` then
   builds a fresh one.
-
-Moves and result sequences cross the pipe as the game's own move objects, so
-a pooled search returns exactly what the sequential one does; seeds travel
-as ``(master_seed, path)`` label tuples.
 """
 
 from __future__ import annotations
@@ -45,72 +29,37 @@ import multiprocessing
 import os
 import queue as _queue
 import threading
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.counters import WorkCounter
-from repro.core.nested import evaluate_move
-from repro.games.base import GameState, Move, decode_state
-from repro.prng import SeedSequence
 
 __all__ = ["PersistentWorkerPool", "shared_pool", "close_shared_pool"]
 
-#: Worker-side decoded-position cache size (distinct encoded blobs).
-_DECODE_CACHE_LIMIT = 64
-
-#: Seconds a batch of candidate evaluations waits without any result before
-#: it declares the pool wedged.  Sweep batches have no such deadline: a cell may
-#: legitimately run for hours.
-_JOB_TIMEOUT_S = 600.0
-
-
-def _run_job(frame: Tuple[Any, ...], decode_cache: Dict[bytes, GameState]) -> Tuple[Any, ...]:
-    """Run one ``job`` frame, a candidate evaluation, and return its result frame."""
-    _, batch_id, job_id, blob, move, level, master_seed, path = frame
-    try:
-        state = decode_cache.get(blob)
-        if state is None:
-            if len(decode_cache) >= _DECODE_CACHE_LIMIT:
-                decode_cache.clear()
-            state = decode_cache[blob] = decode_state(blob)
-        counter = WorkCounter()
-        result = evaluate_move(state, move, level, SeedSequence(master_seed, *path), counter)
-        payload = (result.score, tuple(result.sequence), float(counter.moves))
-        return ("job", batch_id, job_id, "ok", payload)
-    except Exception as exc:  # an error frame, never a parent waiting forever
-        return ("job", batch_id, job_id, "err", f"{type(exc).__name__}: {exc}")
-
 
 def _worker_main(tasks: Any, results: Any, cancel: Any) -> None:
-    """Worker loop: run ``job`` and ``cells`` task frames until a ``None`` frame."""
+    """Worker loop: run ``cells`` task frames until a ``None`` frame."""
+    # Deferred: the cell handler pulls in the whole engine, which imports
+    # this module.
+    from repro.lab.procpool import run_cells
+
     # A forked worker inherits the parent's counter values; zero them so the
     # per-chunk snapshots a ``cells`` frame ships home describe this
     # worker's work only.
     obs.metrics.reset()
-    decode_cache: Dict[bytes, GameState] = {}
     engines: Dict[str, Any] = {}
     while True:
         frame = tasks.get()
         if frame is None:
             break
-        if frame[0] == "job":
-            results.put(_run_job(frame, decode_cache))
-        else:
-            # Deferred: the cell handler pulls in the whole engine, which
-            # imports this module.
-            from repro.lab.procpool import run_cells
-
-            run_cells(frame, results, cancel, engines)
+        run_cells(frame, results, cancel, engines)
 
 
 class PersistentWorkerPool:
-    """A pool of long-lived worker processes fed by compact task frames.
+    """A pool of long-lived worker processes fed by ``cells`` task frames.
 
     Unlike ``multiprocessing.Pool``, the pool is meant to outlive a single
-    search or sweep: create it once (or use :func:`shared_pool`) and every
-    :meth:`evaluate_candidates` call and sweep batch reuses the same worker
-    processes.
+    sweep: create it once (or use :func:`shared_pool`) and every batch
+    reuses the same worker processes.
     """
 
     def __init__(self, n_workers: Optional[int] = None):
@@ -134,7 +83,6 @@ class PersistentWorkerPool:
         self._next_batch = 0
         self._closed = False
         #: lifetime counters (reporting, tests and diagnostics)
-        self.jobs_executed = 0
         self.chunks_dispatched = 0
         self.cells_dispatched = 0
 
@@ -149,8 +97,8 @@ class PersistentWorkerPool:
         blocked) otherwise.  The lock is not re-entrant: a thread holding a
         batch must not start another on the same pool.  That includes an
         ``Engine.stream(executor="process")`` consumer, which holds its
-        batch while it yields events: running a ``multiprocessing`` search
-        or a second process stream from that loop deadlocks.
+        batch while it yields events: starting a second process stream from
+        that loop deadlocks.
         """
         self._batch_lock.acquire()
         if self._closed:  # also when closed while this caller waited
@@ -205,65 +153,6 @@ class PersistentWorkerPool:
                 return frame
 
     # ------------------------------------------------------------------ #
-    # Candidate evaluations
-    # ------------------------------------------------------------------ #
-    def evaluate_candidates(
-        self,
-        state: GameState,
-        evaluations: Sequence[Tuple[int, Move, SeedSequence]],
-        level: int,
-    ) -> List[Tuple[int, float, Tuple[Move, ...], float]]:
-        """Evaluate candidate moves of ``state`` at ``level`` on the workers.
-
-        ``evaluations`` are ``(candidate_index, move, child_seeds)`` triples
-        (the shape produced by
-        :func:`repro.core.nested.candidate_evaluations`); the result is
-        ``(candidate_index, score, sequence, work_units)`` in input order.
-
-        The evaluations run as one batch.  The position is encoded **once**
-        and shared by every job's frame; per-job frames (rather than
-        per-worker chunks) keep the load balanced when playout costs vary
-        wildly.  A job that raised fails the call after the rest of the
-        batch has drained; a batch that gets no result for
-        :data:`_JOB_TIMEOUT_S` tears the pool down and fails.
-        """
-        if not evaluations:
-            return []
-        blob = state.encode()
-        outcomes: List[Any] = [None] * len(evaluations)
-        error: Optional[str] = None
-        batch_id = self.begin_batch()
-        try:
-            for job_id, (_, move, seeds) in enumerate(evaluations):
-                self._tasks.put(
-                    ("job", batch_id, job_id, blob, move, level, seeds.master_seed, seeds.path)
-                )
-            remaining = len(evaluations)
-            last_frame = time.monotonic()
-            while remaining:
-                frame = self.next_frame(batch_id)
-                if frame is None:
-                    if time.monotonic() - last_frame > _JOB_TIMEOUT_S:
-                        self._reap()
-                        raise RuntimeError(
-                            f"no job result for {_JOB_TIMEOUT_S:.0f}s; the pool has been torn down"
-                        )
-                    continue
-                last_frame = time.monotonic()
-                _, _, job_id, status, payload = frame
-                remaining -= 1
-                if status == "ok":
-                    outcomes[job_id] = payload
-                elif error is None:
-                    error = payload
-            if error is not None:
-                raise RuntimeError(f"worker job failed: {error}")
-            self.jobs_executed += len(evaluations)
-        finally:
-            self.end_batch()
-        return [(index, *outcome) for (index, _, _), outcome in zip(evaluations, outcomes)]
-
-    # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     @property
@@ -314,10 +203,9 @@ _SHARED: Optional[PersistentWorkerPool] = None
 def shared_pool(n_workers: Optional[int] = None) -> PersistentWorkerPool:
     """The process-wide persistent pool, (re)created on size change or death.
 
-    This is what makes the pool *persistent across searches and sweeps*:
-    every caller that does not manage its own pool — ``multiprocessing``
-    searches and ``Engine.stream(executor="process")`` — shares these
-    workers, so repeated runs pay the process spawn cost once.
+    This is what makes the pool *persistent across sweeps*: every
+    ``Engine.stream(executor="process")`` call shares these workers, so
+    repeated batches pay the process spawn cost once.
     """
     global _SHARED
     wanted = n_workers if n_workers is not None else (os.cpu_count() or 1)

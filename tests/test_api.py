@@ -71,10 +71,17 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match="unknown SearchSpec fields: bogus"):
             SearchSpec.from_dict({"workload": "tsp", "bogus": 1})
 
+    def test_from_dict_rejects_the_removed_n_workers_field(self):
+        # Records stored while specs carried `n_workers` fail loudly, not silently.
+        data = SearchSpec(workload="tsp").to_dict()
+        data["n_workers"] = 2
+        with pytest.raises(ValueError, match="unknown SearchSpec fields: n_workers"):
+            SearchSpec.from_dict(data)
+
     def test_replace_returns_modified_copy(self):
         spec = SearchSpec(workload="tsp")
-        other = spec.replace(backend="multiprocessing", n_workers=2)
-        assert other.backend == "multiprocessing" and other.n_workers == 2
+        other = spec.replace(backend="sim-cluster", n_clients=2)
+        assert other.backend == "sim-cluster" and other.n_clients == 2
         assert spec.backend == "sequential"
 
     def test_specs_are_hashable_and_params_read_only(self):
@@ -162,7 +169,7 @@ class TestRegistries:
         assert {"sample", "flat", "nmcs", "reflexive", "iterated", "nrpa"} <= set(
             list_algorithms()
         )
-        assert set(list_backends()) == {"sequential", "sim-cluster", "multiprocessing"}
+        assert set(list_backends()) == {"sequential", "sim-cluster"}
 
     def test_duplicate_algorithm_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -193,6 +200,11 @@ class TestRegistries:
             Engine().run(SearchSpec(algorithm="bogus"))
         with pytest.raises(ValueError, match="registered backends"):
             Engine().run(SearchSpec(backend="bogus"))
+
+    def test_the_multiprocessing_backend_is_gone(self):
+        # One search runs on the sequential backend; many run on worker processes.
+        with pytest.raises(ValueError, match="unknown backend 'multiprocessing'"):
+            Engine().run(SearchSpec(workload="leftmove", backend="multiprocessing", level=1))
 
 
 class TestClusterDescriptors:
@@ -237,7 +249,6 @@ class TestEngine:
             engine.run(base),
             engine.run(base.replace(backend="sim-cluster", dispatcher="rr", n_clients=4)),
             engine.run(base.replace(backend="sim-cluster", dispatcher="lm", n_clients=4)),
-            engine.run(base.replace(backend="multiprocessing", n_workers=2)),
         ]
         scores = {report.score for report in reports}
         assert len(scores) == 1
@@ -260,7 +271,6 @@ class TestEngine:
                 seed=0,
                 max_steps=1 if ALGORITHMS[algorithm].supports_budget else None,
                 n_clients=2,
-                n_workers=2,
                 params=algorithm_params.get(algorithm, {}),
             )
             if entry.supports(algorithm):
@@ -273,19 +283,14 @@ class TestEngine:
                 with pytest.raises(ValueError, match=f"backend {backend!r}"):
                     engine.run(spec)
 
-    def test_multiprocessing_backend_smoke(self, engine):
-        report = engine.run(
-            SearchSpec(
-                workload="morpion-small",
-                backend="multiprocessing",
-                level=1,
-                max_steps=1,
-                n_workers=2,
-            )
-        )
-        legacy = nmcs(get_workload("morpion-small").state(), 1, seed=0, max_steps=1)
-        assert report.score == legacy.score
-        assert report.n_workers == 2
+    def test_n_workers_is_the_sim_cluster_client_count(self, engine):
+        from repro.lab.export import row_from_report
+
+        base = SearchSpec(workload="leftmove", level=2, max_steps=1)
+        assert engine.run(base).n_workers is None
+        report = engine.run(base.replace(backend="sim-cluster", n_clients=3))
+        assert report.n_workers == 3
+        assert row_from_report(report)["n_workers"] == 3
 
     def test_run_accepts_a_plain_dict(self, engine):
         report = engine.run({"workload": "leftmove", "level": 1, "max_steps": 1})

@@ -35,6 +35,9 @@ class TestParser:
             ["nmcs"],
             # Sweeps run inline or on `--processes N`; chunk sizes are automatic.
             ["sweep", "--spec", "{}", "--workers", "2"],
+            # Worker processes are a batch option: `sweep`/`serve --processes N`.
+            ["run", "--workers", "2"],
+            ["submit", "--connect", "unix:s", "--workers", "2"],
             ["sweep", "--spec", "{}", "--processes", "2", "--chunk-size", "2"],
             # `repro paper` regenerates every table and figure.
             *([name] for name in ("table1", "table2", "table3", "table4", "table5", "table6")),

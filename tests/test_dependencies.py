@@ -1,0 +1,46 @@
+"""The package runs on the Python standard library alone."""
+
+from __future__ import annotations
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "import repro, repro.lab, repro.service, repro.paper, repro.cli\n"
+        "print('numpy' in sys.modules, end='')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout == "False"
+
+
+def _imported_packages(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("directory", ["src", "tests", "examples", "benchmarks"])
+def test_no_module_imports_numpy(directory):
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / directory).rglob("*.py"))
+        if "numpy" in set(_imported_packages(path))
+    ]
+    assert offenders == []

@@ -319,10 +319,10 @@ class TestBatchLayer:
         engine = Engine()
         specs = [
             BASE,
-            SearchSpec(workload="leftmove", backend="multiprocessing", level=0, max_steps=1),  # needs >=1
+            SearchSpec(workload="leftmove", backend="sim-cluster", level=0, max_steps=1),  # needs >=2
             BASE.replace(seed=1),
         ]
-        with pytest.raises(ValueError, match="level >= 1"):
+        with pytest.raises(ValueError, match="parallel NMCS needs level >= 2"):
             engine.run_many(specs)
         events = []
         reports = engine.run_many(

@@ -10,6 +10,7 @@ the child position, and the median never mutates a position it has shipped.
 
 from __future__ import annotations
 
+import pickle
 import sys
 from collections import Counter
 
@@ -159,11 +160,11 @@ class TestShippedPositions:
 
         def recording_job(**fields):
             job = ClientJob(**fields)
-            shipped.append((job, job.parent.encode()))
+            shipped.append((job, pickle.dumps(job.parent)))
             return job
 
         monkeypatch.setattr(roles, "ClientJob", recording_job)
         Engine(executor=DirectJobExecutor()).run(SPEC)
         assert shipped
-        assert all(job.parent.encode() == at_send for job, at_send in shipped)
+        assert all(pickle.dumps(job.parent) == at_send for job, at_send in shipped)
         assert all(job.move in job.parent.legal_moves() for job, _ in shipped)

@@ -14,6 +14,7 @@ engine then creates forks *after* the registration and inherits it.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -419,6 +420,61 @@ class TestMergeSnapshot:
             MetricsRegistry().merge_snapshot({"t_bogus": {"type": "summary"}})
 
 
+#: four weakschur cells, two cells per worker of a two-worker pool
+WEAKSCHUR_CELLS = [
+    SearchSpec(workload="weakschur", level=2, seed=seed, max_steps=3) for seed in range(4)
+]
+
+
+def _stored_form(reports):
+    return [(report.score, report.to_dict()["sequence"]) for report in reports]
+
+
+class TestEveryGameOnThePool:
+    """Cells cross the pipe as spec dicts, so every game runs on the workers
+    and comes back as the serial result, whatever its state and move types."""
+
+    @pytest.mark.parametrize(
+        "workload", ["leftmove", "morpion-small", "samegame", "weakschur", "tsp", "sop"]
+    )
+    def test_process_cells_match_serial(self, workload):
+        specs = [
+            SearchSpec(workload=workload, level=1, seed=seed, max_steps=2) for seed in range(2)
+        ]
+        serial = Engine().run_many(specs)
+        procs = Engine().run_many(specs, executor="process", max_workers=2)
+        assert _stored_form(procs) == _stored_form(serial)
+        assert [p.work_units for p in procs] == [s.work_units for s in serial]
+
+
+class TestSharedByThreads:
+    def test_threads_take_turns_on_the_shared_pool(self):
+        """Two threads streaming at once, as two service workers do, get the
+        serial results instead of reading each other's frames."""
+        serial = _stored_form(Engine().run_many(WEAKSCHUR_CELLS))
+        shared_sweep_pool(2)  # both threads must find this pool, not race to build one
+        results = {}
+
+        def stream(slot):
+            results[slot] = _stored_form(
+                Engine().run_many(WEAKSCHUR_CELLS, executor="process", max_workers=2)
+            )
+
+        threads = [
+            threading.Thread(target=stream, args=(slot,), daemon=True) for slot in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert results == {slot: serial for slot in range(2)}
+        # No stale frame is left behind for the next caller.
+        assert _stored_form(
+            Engine().run_many(WEAKSCHUR_CELLS, executor="process", max_workers=2)
+        ) == serial
+
+
 class TestPoolLifecycle:
     def test_shared_pool_recreated_on_size_change_and_death(self):
         first = shared_sweep_pool(2)
@@ -453,3 +509,25 @@ class TestPoolLifecycle:
         cell = next(frame for frame in frames if frame[0] == "cell")
         assert cell[3] == "ok"
         assert cell[4]["spec"]["workload"] == spec.workload
+
+    def test_killed_worker_fails_the_stream_fast_and_the_shared_pool_recovers(self):
+        pool = shared_sweep_pool(2)
+        # Two level-3 cells, one per worker, each still running when the kill lands.
+        cells = [
+            SearchSpec(workload="morpion-small", level=3, seed=seed, max_steps=1)
+            for seed in range(2)
+        ]
+        killer = threading.Timer(0.3, os.kill, (pool._workers[0].pid, signal.SIGKILL))
+        started = time.monotonic()
+        killer.start()
+        try:
+            with pytest.raises(RuntimeError, match="died"):
+                Engine().run_many(cells, executor="process", max_workers=2)
+        finally:
+            killer.join(timeout=10)
+        assert time.monotonic() - started < 5.0
+        assert not pool.alive
+        fresh = shared_sweep_pool(2)
+        assert fresh is not pool and fresh.alive
+        specs = [GRID.base.replace(seed=s, backend="sequential") for s in range(2)]
+        assert len(Engine().run_many(specs, executor="process", max_workers=2)) == 2

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.games.sop import SOPInstance, SOPState
@@ -12,14 +11,11 @@ from repro.games.sop import SOPInstance, SOPState
 
 def small_instance():
     """4 nodes, node 2 requires node 1, node 3 (the end) requires everyone."""
-    costs = np.array(
-        [
-            [0, 1, 5, 9],
-            [1, 0, 2, 8],
-            [5, 2, 0, 3],
-            [9, 8, 3, 0],
-        ],
-        dtype=float,
+    costs = (
+        (0.0, 1.0, 5.0, 9.0),
+        (1.0, 0.0, 2.0, 8.0),
+        (5.0, 2.0, 0.0, 3.0),
+        (9.0, 8.0, 3.0, 0.0),
     )
     preds = (frozenset(), frozenset(), frozenset({1}), frozenset({0, 1, 2}))
     return SOPInstance(costs, preds)
@@ -34,14 +30,30 @@ class TestInstance:
     def test_random_reproducible(self):
         a = SOPInstance.random(10, seed=5)
         b = SOPInstance.random(10, seed=5)
-        assert np.array_equal(a.costs, b.costs)
+        assert a.costs == b.costs
         assert a.predecessors == b.predecessors
 
+    def test_instances_compare_and_hash_by_value(self):
+        a = SOPInstance.random(6, seed=1)
+        b = SOPInstance.random(6, seed=1)
+        assert a == b and hash(a) == hash(b)
+        assert a != SOPInstance.random(6, seed=2)
+        assert len({a, b, SOPInstance.random(6, seed=2)}) == 2
+
+    def test_random_costs_are_float_rows_in_the_cost_range(self):
+        inst = SOPInstance.random(8, seed=4, cost_range=(3, 7))
+        assert isinstance(inst.costs, tuple) and len(inst.costs) == 8
+        for i, row in enumerate(inst.costs):
+            assert isinstance(row, tuple) and len(row) == 8
+            assert all(type(cost) is float for cost in row)
+            assert row[i] == 0.0
+            assert all(3.0 <= cost <= 7.0 for j, cost in enumerate(row) if j != i)
+
     def test_validation_errors(self):
+        with pytest.raises(ValueError, match="square"):
+            SOPInstance(((0.0, 0.0),) * 3, (frozenset(), frozenset(), frozenset()))
         with pytest.raises(ValueError):
-            SOPInstance(np.zeros((3, 2)), (frozenset(), frozenset(), frozenset()))
-        with pytest.raises(ValueError):
-            SOPInstance(np.zeros((2, 2)), (frozenset({1}), frozenset()))
+            SOPInstance(((0.0, 0.0),) * 2, (frozenset({1}), frozenset()))
         with pytest.raises(ValueError):
             SOPInstance.random(1)
 
@@ -84,7 +96,7 @@ class TestState:
         inst = SOPInstance.random(8, seed=2, precedence_density=0.0)
         state = SOPState(inst)
         moves = state.heuristic_moves()
-        costs = [inst.costs[0, m] for m in moves]
+        costs = [inst.costs[0][m] for m in moves]
         assert costs == sorted(costs)
 
     def test_copy_independent(self):

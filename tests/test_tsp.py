@@ -13,18 +13,53 @@ class TestInstance:
     def test_from_coords_distances(self):
         inst = TSPInstance.from_coords([(0, 0), (3, 4)])
         assert inst.n_cities == 2
-        assert inst.distances[0, 1] == pytest.approx(5.0)
-        assert inst.distances[1, 0] == pytest.approx(5.0)
-        assert inst.distances[0, 0] == 0.0
+        assert inst.distances[0][1] == pytest.approx(5.0)
+        assert inst.distances[1][0] == pytest.approx(5.0)
+        assert inst.distances[0][0] == 0.0
 
     def test_random_reproducible(self):
         a = TSPInstance.random(10, seed=4)
         b = TSPInstance.random(10, seed=4)
         assert a.coords == b.coords
+        assert a.distances == b.distances
+
+    def test_instances_compare_and_hash_by_value(self):
+        a = TSPInstance.random(10, seed=1)
+        b = TSPInstance.random(10, seed=1)
+        assert a == b and hash(a) == hash(b)
+        assert a != TSPInstance.random(10, seed=2)
+        assert len({a, b, TSPInstance.random(10, seed=2)}) == 2
+
+    def test_distances_are_float_rows_of_the_euclidean_formula(self):
+        inst = TSPInstance.random(12, seed=3)
+        assert isinstance(inst.distances, tuple) and len(inst.distances) == 12
+        for i, (xi, yi) in enumerate(inst.coords):
+            row = inst.distances[i]
+            assert isinstance(row, tuple) and len(row) == 12
+            assert row[i] == 0.0
+            for j, (xj, yj) in enumerate(inst.coords):
+                dx, dy = xi - xj, yi - yj
+                assert type(row[j]) is float
+                # Exactly this rounding: the playout goldens pin these doubles.
+                assert row[j] == math.sqrt(dx * dx + dy * dy)
+                assert row[j] == inst.distances[j][i]
+
+    def test_fast_tables_share_the_distance_rows(self):
+        inst = TSPInstance.random(9, seed=6)
+        rows, order = inst.fast_tables()
+        assert rows is inst.distances
+        assert inst.fast_tables()[1] is order
+        for c in range(9):
+            assert order[c] == sorted(range(9), key=lambda x: (rows[c][x], x))
 
     def test_needs_two_cities(self):
         with pytest.raises(ValueError):
             TSPInstance.from_coords([(0, 0)])
+
+    @pytest.mark.parametrize("coords", [[(0, 0, 0), (1, 1, 1)], [1, 2]])
+    def test_rejects_malformed_coords(self, coords):
+        with pytest.raises(ValueError, match=r"coords must be a sequence of \(x, y\) pairs"):
+            TSPInstance.from_coords(coords)
 
     def test_tour_length_square(self):
         inst = TSPInstance.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
