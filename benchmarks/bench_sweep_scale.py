@@ -30,7 +30,7 @@ from pathlib import Path
 from conftest import write_result
 from repro.api import Engine, SearchSpec
 from repro.lab import ResultStore, SweepSpec
-from repro.parallel.pool import close_shared_pool
+from repro.lab.procpool import close_shared_pool
 
 #: A CPU-bound grid: 8 independent level-2 Weak Schur searches (~0.3s each
 #: serially on the reference container), varied only by seed so every cell

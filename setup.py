@@ -1,11 +1,23 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The pinned offline environment ships setuptools without the ``wheel`` package,
-so PEP 517 editable installs (which build an editable wheel) are unavailable.
-This shim keeps the classic ``pip install -e . --no-use-pep517
---no-build-isolation`` path working; all metadata lives in ``pyproject.toml``.
+The package lives under ``src/`` and needs nothing beyond the standard
+library at run time.  Without the ``wheel`` package, PEP 517 editable
+installs (which build an editable wheel) are unavailable; the classic path
+is ``pip install -e . --no-use-pep517 --no-build-isolation``.  The version
+is read from ``src/repro/__init__.py``, its one source.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -7,7 +7,8 @@ The library is organised as:
   with one :class:`RunReport` schema, plus the streaming batch layer
   (``Engine.stream`` / ``Engine.run_many``);
 * :mod:`repro.lab` — declarative sweeps: :class:`SweepSpec` grids,
-  content-addressed :class:`ResultStore` (resumable sweeps), JSON/CSV export;
+  content-addressed :class:`ResultStore` (resumable sweeps), JSON/CSV export
+  and the worker-process pool that runs batches of cells;
 * :mod:`repro.games` — search domains (Morpion Solitaire, SameGame, TSP, SOP,
   Weak Schur, toy games);
 * :mod:`repro.core` — sequential search algorithms (random sampling, flat
@@ -16,8 +17,7 @@ The library is organised as:
 * :mod:`repro.cluster` — the simulated heterogeneous cluster (discrete-event
   kernel, nodes, network, traces);
 * :mod:`repro.parallel` — the paper's parallel algorithms (root / median /
-  dispatcher / client roles, Round-Robin and Last-Minute dispatching) and
-  the worker-process pool that runs batches of cells;
+  dispatcher / client roles, Round-Robin and Last-Minute dispatching);
 * :mod:`repro.paper` — the paper as data: one sweep per table, the published
   numbers beside ours and an automatic fidelity check (``repro paper``);
 * :mod:`repro.timemodel`, :mod:`repro.analysis`, :mod:`repro.paperdata`,

@@ -33,11 +33,11 @@ stored, shipped to workers, or diffed between sessions.
 Batches are first-class: :meth:`Engine.stream` executes a list of specs or a
 whole :class:`repro.lab.sweep.SweepSpec` as a lazy stream of
 :class:`RunEvent`\\ s (started / cached / completed / failed per cell) with an
-error policy, cancellation and an optional worker-process pool, and
-:meth:`Engine.run_many` collects that stream into reports.  Attaching a
-:class:`repro.lab.store.ResultStore` makes batches durable and resumable:
-completed cells are persisted under their content address and skipped on
-re-runs (see ``docs/SWEEPS.md``).
+error policy, cancellation and an optional worker-process pool
+(:mod:`repro.lab.procpool`), and :meth:`Engine.run_many` collects that
+stream into reports.  Attaching a :class:`repro.lab.store.ResultStore`
+makes batches durable and resumable: completed cells are persisted under
+their content address and skipped on re-runs (see ``docs/SWEEPS.md``).
 """
 
 from __future__ import annotations
@@ -858,12 +858,15 @@ class Engine:
             thread, in cell order.  ``"process"`` ships cache-missing cells,
             in chunks of :func:`repro.lab.procpool.auto_chunk_size` cells
             per task frame, to the shared worker-process pool
-            (:func:`repro.parallel.pool.shared_pool`), where each worker
-            runs them through its own :class:`Engine` — CPU-bound cells then
+            (:func:`repro.lab.procpool.run_batch`), where each worker runs
+            them through its own :class:`Engine` — CPU-bound cells then
             scale past the GIL.  ``"started"`` is emitted as a chunk fills,
             events arrive in completion order, and worker failures come back
             as :class:`~repro.lab.procpool.RemoteCellError`.  The stream
-            holds the pool (one batch at a time) until it ends.  An engine
+            holds the pool (one batch at a time) until it ends, so starting
+            another process stream from inside its consumer loop deadlocks.
+            A cell the pool skips without a cancel (the pool was closed
+            under the batch) fails with ``RuntimeError``.  An engine
             constructed with a custom ``executor=``
             :class:`~repro.parallel.jobs.JobExecutor` cannot use the process
             executor (executors don't cross processes).
@@ -920,7 +923,9 @@ class Engine:
             return first_error is not None or cancelled()
 
         if executor == "process":
-            cells = self._process_cells(pending, stop, max_workers)
+            from repro.lab.procpool import run_batch
+
+            cells = run_batch(pending, stop, max_workers, self.network)
         else:
             cells = self._inline_cells(pending, stop)
         try:
@@ -947,11 +952,11 @@ class Engine:
         if first_error is not None:
             raise first_error
 
-    # Runners: each takes the cache-missing ``(index, spec)`` cells and a
-    # ``stop`` predicate, and yields ``(index, "started", None)`` before a
-    # cell runs, then ``(index, "completed", report)`` or
-    # ``(index, "failed", exception)``.  A cell skipped because ``stop``
-    # turned true yields nothing more.
+    # Runners (this one and repro.lab.procpool.run_batch): each takes the
+    # cache-missing ``(index, spec)`` cells and a ``stop`` predicate, and
+    # yields ``(index, "started", None)`` before a cell runs, then
+    # ``(index, "completed", report)`` or ``(index, "failed", exception)``.
+    # A cell skipped because ``stop`` turned true yields nothing more.
     def _inline_cells(
         self, pending: List[Tuple[int, SearchSpec]], stop: Callable[[], bool]
     ) -> Generator[Tuple[int, str, Any], None, None]:
@@ -966,75 +971,6 @@ class Engine:
                 yield index, "failed", exc
             else:
                 yield index, "completed", report
-
-    def _process_cells(
-        self,
-        pending: List[Tuple[int, SearchSpec]],
-        stop: Callable[[], bool],
-        max_workers: Optional[int],
-    ) -> Generator[Tuple[int, str, Any], None, None]:
-        """Ship cells to the shared worker-process pool, reporting them in completion order.
-
-        Cells travel as ``spec.to_dict()`` in chunks of
-        :func:`~repro.lab.procpool.auto_chunk_size` cells; ``started`` is
-        yielded for each cell as its chunk fills, and the full chunk is
-        submitted at once.  Workers send back report dicts, one frame per
-        cell, and a metrics snapshot per chunk that is folded into this
-        process's registry.  Once ``stop`` turns true the batch is
-        cancelled: cells not yet running in a worker are skipped, and the
-        batch drains before the pool is released.
-        """
-        from repro.lab.procpool import RemoteCellError, auto_chunk_size
-        from repro.parallel.pool import shared_pool
-
-        if not pending:
-            return
-        pool = shared_pool(max_workers)
-        size = auto_chunk_size(len(pending), pool.n_workers)
-        obs_on = _obs_enabled()
-        outstanding_cells: set = set()
-        outstanding_chunks = 0
-        batch_id = pool.begin_batch()
-        try:
-            for start in range(0, len(pending), size):
-                if stop():
-                    break
-                chunk = pending[start : start + size]
-                for index, _ in chunk:
-                    yield index, "started", None
-                    outstanding_cells.add(index)
-                pool.submit_chunk(
-                    batch_id,
-                    [(index, spec.to_dict()) for index, spec in chunk],
-                    obs_on,
-                    self.network,
-                )
-                outstanding_chunks += 1
-            propagated = False
-            while outstanding_cells or outstanding_chunks:
-                if not propagated and stop():
-                    pool.cancel_batch()
-                    propagated = True
-                frame = pool.next_frame(batch_id)
-                if frame is None:
-                    continue
-                if frame[0] == "chunk":
-                    outstanding_chunks -= 1
-                    if frame[2] is not None:
-                        _obs_metrics.merge_snapshot(frame[2])
-                    continue
-                _, _, index, status, payload = frame
-                outstanding_cells.discard(index)
-                if status == "ok":
-                    yield index, "completed", RunReport.from_dict(payload)
-                elif status == "err":
-                    yield index, "failed", RemoteCellError(payload)
-        finally:
-            # An abandoned stream leaves cells in flight; cancel them so they
-            # drain as skips — the next batch's next_frame drops their frames.
-            if outstanding_cells or outstanding_chunks:
-                pool.cancel_batch()
-            pool.end_batch()
 
     def run_many(
         self,

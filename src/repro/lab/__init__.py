@@ -11,12 +11,12 @@ is what every table of the paper actually is:
   and interrupted sweeps resume for free;
 * :mod:`repro.lab.export` — flat JSON/CSV rows that
   :func:`repro.analysis.tables.pivot_table` renders directly;
-* :mod:`repro.lab.procpool` — the sweep side of
+* :mod:`repro.lab.procpool` — the library's one worker-process pool
+  (:class:`~repro.lab.procpool.SweepWorkerPool`, shared process-wide through
+  :func:`~repro.lab.procpool.shared_pool`) behind
   ``Engine.stream(executor="process")`` / ``repro sweep --processes``:
-  chunk sizing, remote cell errors and the worker-side cell handler, run on
-  the library's one worker-process pool
-  (:class:`repro.parallel.pool.PersistentWorkerPool`), so CPU-bound grids
-  scale past the GIL (see ``docs/SWEEPS.md``).
+  task and result frames, chunk sizing, cancellation and remote cell
+  errors, so CPU-bound grids scale past the GIL (see ``docs/SWEEPS.md``).
 
 Execution lives on the engine: ``Engine.run_many(sweep, store=...)`` and the
 streaming ``Engine.stream(...)`` event iterator run a grid's cells inline, in

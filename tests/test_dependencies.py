@@ -44,3 +44,17 @@ def test_no_module_imports_numpy(directory):
         if "numpy" in set(_imported_packages(path))
     ]
     assert offenders == []
+
+
+def test_setup_py_declares_the_package_name_and_version():
+    import repro
+
+    out = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.split() == ["repro", repro.__version__]

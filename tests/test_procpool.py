@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -27,8 +29,8 @@ from repro.cluster.network import NetworkModel
 from repro.core.sample import sample
 from repro.lab import ResultStore, SweepSpec
 from repro.lab.procpool import RemoteCellError, SweepWorkerPool, auto_chunk_size
-from repro.parallel.pool import close_shared_pool as close_shared_sweep_pool
-from repro.parallel.pool import shared_pool as shared_sweep_pool
+from repro.lab.procpool import close_shared_pool as close_shared_sweep_pool
+from repro.lab.procpool import shared_pool as shared_sweep_pool
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -240,6 +242,23 @@ def _register_gated_algorithm():
         return sample(state, seeds=seeds, counter=counter)
 
 
+def _gated_specs(directory, n_cells):
+    """``gated-sample`` cells: each touches ``start-<seed>`` in ``directory``,
+    then waits for the directory's ``gate`` file."""
+    return [
+        SearchSpec(
+            workload="leftmove",
+            algorithm="gated-sample",
+            seed=s,
+            params={
+                "gate_file": str(directory / "gate"),
+                "start_file": str(directory / f"start-{s}"),
+            },
+        )
+        for s in range(n_cells)
+    ]
+
+
 class TestCancellationAndResume:
     def test_cancel_mid_sweep_drains_cleanly_then_store_resumes(self, tmp_path):
         """Two in-flight cells finish, the rest skip without terminal events;
@@ -249,18 +268,7 @@ class TestCancellationAndResume:
         try:
             gate = tmp_path / "gate"
             store = ResultStore(tmp_path / "store")
-            specs = [
-                SearchSpec(
-                    workload="leftmove",
-                    algorithm="gated-sample",
-                    seed=s,
-                    params={
-                        "gate_file": str(gate),
-                        "start_file": str(tmp_path / f"start-{s}"),
-                    },
-                )
-                for s in range(6)
-            ]
+            specs = _gated_specs(tmp_path, 6)
             # Cancel once (a) every chunk has been submitted — otherwise a
             # fast worker could trip the cancel mid-submission and legally
             # truncate the started events — and (b) two cells are provably
@@ -312,6 +320,65 @@ class TestCancellationAndResume:
             assert resumed_kinds.count("started") == 4
             assert resumed_kinds.count("completed") == 4
             assert len(store) == 6
+        finally:
+            del ALGORITHMS["gated-sample"]
+            close_shared_sweep_pool()  # drop workers carrying the registration
+
+    def test_cells_skipped_without_a_cancel_fail(self, tmp_path):
+        """A pool closed under a running batch answers its queued cells with
+        skip frames; those cells end with failed events, not silently."""
+        close_shared_sweep_pool()  # next pool forks after the registration below
+        _register_gated_algorithm()
+
+        def close_under_a_batch(directory):
+            pool = shared_sweep_pool(2)
+
+            def cancel_then_open_the_gate():
+                deadline = time.monotonic() + 30.0
+                # Wait until both workers are busy; open the gate whatever happens.
+                while len(list(directory.glob("start-*"))) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                pool._cancel.set()  # what close() does first
+                (directory / "gate").touch()
+
+            thread = threading.Thread(target=cancel_then_open_the_gate, daemon=True)
+            thread.start()
+            return thread
+
+        try:
+            skip_dir, raise_dir = tmp_path / "skip", tmp_path / "raise"
+            skip_dir.mkdir()
+            raise_dir.mkdir()
+            closer = close_under_a_batch(skip_dir)
+            events = _events(
+                Engine().stream(
+                    _gated_specs(skip_dir, 6),
+                    executor="process",
+                    max_workers=2,
+                    error_policy="skip",
+                )
+            )
+            closer.join(timeout=30.0)
+            assert not closer.is_alive()
+            kinds = _kinds(events)
+            assert kinds.count("started") == 6
+            assert kinds.count("completed") == 2
+            assert kinds.count("failed") == 4
+            for event in events:
+                if event.kind == "failed":
+                    assert isinstance(event.error, RuntimeError)
+                    assert "closed mid-batch" in str(event.error)
+
+            closer = close_under_a_batch(raise_dir)
+            with pytest.raises(RuntimeError, match="closed mid-batch"):
+                Engine().run_many(
+                    _gated_specs(raise_dir, 6),
+                    executor="process",
+                    max_workers=2,
+                    error_policy="raise",
+                )
+            closer.join(timeout=30.0)
+            assert not closer.is_alive()
         finally:
             del ALGORITHMS["gated-sample"]
             close_shared_sweep_pool()  # drop workers carrying the registration
@@ -474,6 +541,63 @@ class TestSharedByThreads:
             Engine().run_many(WEAKSCHUR_CELLS, executor="process", max_workers=2)
         ) == serial
 
+    def test_a_resize_waits_for_the_running_batch(self):
+        """Two threads streaming at different pool sizes: each resize waits
+        for the other thread's batch instead of closing the pool under it."""
+        serial = _stored_form(Engine().run_many(WEAKSCHUR_CELLS))
+        shared_sweep_pool(2)
+        results = {}
+
+        def stream(n_workers):
+            events = _events(
+                Engine().stream(
+                    WEAKSCHUR_CELLS,
+                    error_policy="skip",
+                    executor="process",
+                    max_workers=n_workers,
+                )
+            )
+            completed = sorted(
+                (event for event in events if event.kind == "completed"),
+                key=lambda event: event.index,
+            )
+            results[n_workers] = _stored_form(event.report for event in completed)
+
+        threads = [
+            threading.Thread(target=stream, args=(n_workers,), daemon=True)
+            for n_workers in (2, 3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(serial) == 4
+        assert results == {2: serial, 3: serial}
+
+    def test_threads_that_find_no_pool_share_one(self):
+        close_shared_sweep_pool()
+        barrier = threading.Barrier(2)
+        pools = []
+
+        def build():
+            barrier.wait(timeout=30)
+            pools.append(shared_sweep_pool(2))
+
+        threads = [threading.Thread(target=build, daemon=True) for _ in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(pools) == 2
+            assert pools[0] is pools[1]
+        finally:
+            close_shared_sweep_pool()
+            for pool in pools:  # a second pool would otherwise outlive the test
+                pool.close()
+
 
 class TestPoolLifecycle:
     def test_shared_pool_recreated_on_size_change_and_death(self):
@@ -489,26 +613,27 @@ class TestPoolLifecycle:
         pool = SweepWorkerPool(n_workers=1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.begin_batch()
+            next(pool.run([(0, GRID.base)], lambda: False))
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit_chunk(1, [], False, None)
 
     def test_context_manager_runs_one_batch(self):
         spec = GRID.base.replace(backend="sequential")
         with SweepWorkerPool(n_workers=1) as pool:
-            batch = pool.begin_batch()
-            try:
-                pool.submit_chunk(batch, [(0, spec.to_dict())], False, None)
-                frames = []
-                while len(frames) < 2:  # one cell frame + one chunk frame
-                    frame = pool.next_frame(batch)
-                    if frame is not None:
-                        frames.append(frame)
-            finally:
-                pool.end_batch()
-        cell = next(frame for frame in frames if frame[0] == "cell")
-        assert cell[3] == "ok"
-        assert cell[4]["spec"]["workload"] == spec.workload
+            cells = list(pool.run([(0, spec)], lambda: False))
+        assert [(index, kind) for index, kind, _ in cells] == [(0, "started"), (0, "completed")]
+        assert cells[1][2].spec.workload == spec.workload
+        assert not pool.alive
+
+    def test_an_unclosed_pool_does_not_hang_interpreter_exit(self):
+        code = "from repro.lab.procpool import SweepWorkerPool; p = SweepWorkerPool(1)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+            capture_output=True,
+            timeout=30,
+        )
+        assert done.returncode == 0
 
     def test_killed_worker_fails_the_stream_fast_and_the_shared_pool_recovers(self):
         pool = shared_sweep_pool(2)
