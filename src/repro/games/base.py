@@ -20,20 +20,13 @@ Design notes
 
 Fast-state protocol (see docs/GAMES.md)
 ---------------------------------------
-Two opt-in extensions let hot kernels avoid per-move overhead without
-changing what any search computes:
-
-* :meth:`GameState.playout` — the **in-place playout** primitive.  The base
-  implementation is the canonical reference loop (``legal_moves`` →
-  ``rng.randrange`` → ``apply``); kernels may override it with a specialised
-  loop **as long as it consumes the same rng draws and picks the same
-  moves** — the seeded playout goldens (``tests/data/playout_golden.json``)
-  enforce this bit-identically.
-* :meth:`GameState.undo` / :meth:`GameState.can_undo` — the in-place
-  apply/undo protocol for kernels that can cheaply revert their last move
-  (Morpion keeps an undo journal, TSP pops the tour tail).  Kernels whose
-  ``apply`` destroys information (SameGame gravity) simply keep
-  ``can_undo() == False`` and rely on ``copy()`` scratch states.
+:meth:`GameState.playout` is the **in-place playout** primitive, an opt-in
+extension that lets hot kernels avoid per-move overhead without changing
+what any search computes.  The base implementation is the canonical
+reference loop (``legal_moves`` → ``rng.randrange`` → ``apply``); kernels
+may override it with a specialised loop **as long as it consumes the same
+rng draws and picks the same moves** — the seeded playout goldens
+(``tests/data/playout_golden.json``) enforce this bit-identically.
 """
 
 from __future__ import annotations
@@ -160,23 +153,6 @@ class GameState(abc.ABC):
         if counter is not None:
             counter.add_moves(len(moves_played))
         return self.score(), tuple(moves_played)
-
-    # ------------------------------------------------------------------ #
-    # Apply/undo protocol (opt-in)
-    # ------------------------------------------------------------------ #
-    def can_undo(self) -> bool:
-        """True when :meth:`undo` can revert the last :meth:`apply`."""
-        return False
-
-    def undo(self) -> None:
-        """Revert the most recent :meth:`apply` in place.
-
-        Only available when :meth:`can_undo` returns True; kernels that keep
-        an undo journal (Morpion) or a trivially reversible representation
-        (TSP) override both.  Raises ``ValueError`` when there is nothing to
-        undo.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not support undo")
 
 
 @dataclass

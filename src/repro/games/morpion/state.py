@@ -21,10 +21,9 @@ scans of the incremental update are integer index walks instead of
 tuple-hashing set probes.  ``_legal`` maps each legal move to its
 precomputed usage-mark ``frozenset``, which turns the conflict pruning in
 :meth:`apply` into ``frozenset.isdisjoint`` calls, and the sorted legal list
-is cached between moves.  Every apply also journals enough to support
-:meth:`undo` in O(line changes).  Move identity, ordering and rng
-consumption are bit-identical with the reference implementation; the seeded
-playout goldens (``tests/data/playout_golden.json``) pin this.
+is cached between moves.  Move identity, ordering and rng consumption are
+bit-identical with the reference implementation; the seeded playout goldens
+(``tests/data/playout_golden.json``) pin this.
 """
 
 from __future__ import annotations
@@ -116,7 +115,6 @@ class MorpionState(GameState):
         "_legal",
         "_history",
         "_sorted_legal",
-        "_journal",
         "_occ",
         "_usedg",
         "_gx0",
@@ -148,7 +146,6 @@ class MorpionState(GameState):
         # Per-direction usage marks: points for DISJOINT, segment starts for TOUCHING.
         self._used: List[Set[Point]] = [set() for _ in DIRECTIONS]
         self._history: List[MorpionMove] = []
-        self._journal: List[tuple] = []
         self._rebuild_grids()
         self._legal: Dict[MorpionMove, FrozenSet[Point]] = self._scan_all_legal()
         self._sorted_legal: Optional[List[MorpionMove]] = None
@@ -401,34 +398,7 @@ class MorpionState(GameState):
                 s -= step
 
         self._history.append(move)
-        # Previous-legal dicts are never mutated after assignment, so keeping a
-        # reference is enough to restore them on undo.
-        self._journal.append((move, new_marks, prev_legal, self._sorted_legal))
         self._sorted_legal = None
-
-    def can_undo(self) -> bool:
-        return True
-
-    def undo(self) -> None:
-        """Retract the most recent move (inverse of :meth:`apply`)."""
-        if not self._journal:
-            raise ValueError("no move to undo")
-        move, new_marks, prev_legal, prev_sorted = self._journal.pop()
-        self._history.pop()
-        p = move.point
-        self._occupied.discard(p)
-        di = move.direction
-        self._used[di] -= new_marks
-        gx0, gy0, gh = self._gx0, self._gy0, self._gh
-        self._occ[(p[0] - gx0) * gh + (p[1] - gy0)] = 0
-        # No other line in this direction uses these cells (that is the rule),
-        # so clearing the direction bit on the move's own marks is exact.
-        bit = ~(1 << di)
-        usedg = self._usedg
-        for (qx, qy) in new_marks:
-            usedg[(qx - gx0) * gh + (qy - gy0)] &= bit
-        self._legal = prev_legal
-        self._sorted_legal = prev_sorted
 
     def copy(self) -> "MorpionState":
         clone = MorpionState.__new__(MorpionState)
@@ -440,7 +410,6 @@ class MorpionState(GameState):
         clone._used = [set(u) for u in self._used]
         clone._legal = self._legal  # never mutated in place; replaced on apply
         clone._history = list(self._history)
-        clone._journal = list(self._journal)
         clone._sorted_legal = self._sorted_legal
         clone._occ = bytearray(self._occ)
         clone._usedg = bytearray(self._usedg)

@@ -165,17 +165,6 @@ class TSPState(GameState):
         self._tour.append(move)
         self._visited[move] = 1
 
-    def can_undo(self) -> bool:
-        return True
-
-    def undo(self) -> None:
-        """Retract the most recent move (inverse of :meth:`apply`)."""
-        if len(self._tour) < 2:
-            raise ValueError("no move to undo")
-        move = self._tour.pop()
-        self._visited[move] = 0
-        self._length -= self._dist[self._tour[-1]][move]
-
     def copy(self) -> "TSPState":
         clone = TSPState.__new__(TSPState)
         clone.instance = self.instance

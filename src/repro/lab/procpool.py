@@ -36,8 +36,9 @@ worker and back:
   ``multiprocessing.Event`` before every cell; a cell cancelled by its own
   stream reports a ``skip`` frame (no terminal :class:`~repro.api.RunEvent`
   — exactly the inline path's early-out) and the chunk keeps draining, so
-  the pool is reusable the moment the batch ends.  A cell skipped because
-  the pool was closed under the batch fails instead.
+  the pool is reusable the moment the batch ends.  A pool closed under a
+  batch fails it instead: a skipped cell with a failed event, a batch still
+  waiting for frames with ``RuntimeError``.
 * **Telemetry merge.** When :mod:`repro.obs` is enabled, each worker
   snapshots its registry after every chunk and ships the snapshot home; the
   parent folds it into its own registry via
@@ -264,13 +265,16 @@ class SweepWorkerPool:
         Returning ``None`` (rather than blocking indefinitely) lets the
         caller re-check its cancel flag between frames.  Frames from other
         batches — left behind when an earlier batch stopped reading before
-        its last frame — are dropped.  Raises ``RuntimeError`` once a worker
-        has died, after tearing the pool down.
+        its last frame — are dropped.  Raises ``RuntimeError`` once the pool
+        was closed (:meth:`close` from another thread, or the interpreter's
+        exit), and once a worker has died, after tearing the pool down.
         """
         while True:
             try:
                 frame = self._results.get(timeout=_POLL_S)
-            except _queue.Empty:
+            except (_queue.Empty, ValueError):  # ValueError: close() closed the queue
+                if self._closed:
+                    raise RuntimeError("the worker pool was closed mid-batch") from None
                 if not self.alive:
                     self._reap()
                     raise RuntimeError(

@@ -1,4 +1,4 @@
-"""``repro.service`` — search-as-a-service: an async job server over the Engine.
+"""``repro.service`` — search-as-a-service: a threaded job server over the Engine.
 
 The paper's whole architecture is a client/server system that keeps many
 workers saturated with playout jobs; this package is that architecture for
@@ -18,9 +18,9 @@ persistent worker pool, with:
   ``threading.Event`` plumbing ``Engine.stream`` already honours);
 * a subscription layer replaying/streaming wire-form
   :class:`~repro.api.RunEvent`\\ s to any number of subscribers per job;
-* a newline-delimited-JSON transport: :class:`ServiceServer` (asyncio, TCP
-  or unix socket), :class:`ServiceClient`, and the ``repro serve`` /
-  ``repro submit`` / ``repro jobs`` CLI commands.
+* a newline-delimited-JSON transport: :class:`ServiceServer` (TCP or unix
+  socket, one thread per connection), :class:`ServiceClient`, and the
+  ``repro serve`` / ``repro submit`` / ``repro jobs`` CLI commands.
 
 See ``docs/SERVICE.md`` for the architecture and wire protocol.
 

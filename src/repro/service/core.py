@@ -21,9 +21,10 @@
   which any number of subscribers replay/follow (see
   :class:`repro.service.jobs.Job`).
 
-The service is transport-agnostic: in-process callers use it directly (see
-``tests/test_service.py``), the asyncio JSONL server wraps it
-(:mod:`repro.service.transport`).
+The service is transport-agnostic and runs on plain threads: in-process
+callers use it directly (see ``tests/test_service.py``), and the threaded
+JSONL server (:mod:`repro.service.transport`) calls it from one thread per
+connection.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class ServiceConfig:
 
 
 class SearchService:
-    """An async search-as-a-service job scheduler over one :class:`Engine`."""
+    """A threaded search-as-a-service job scheduler over one :class:`Engine`."""
 
     def __init__(
         self,

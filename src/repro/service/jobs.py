@@ -7,11 +7,12 @@ cancellation flag and an append-only history of wire-form
 :class:`~repro.api.RunEvent` dicts.
 
 The history doubles as the subscription layer: any number of subscribers read
-the same list through private cursors (:meth:`Job.next_events` /
-:meth:`Job.stream`), so a subscriber that attaches late — e.g. the second
-client of a deduplicated submission — replays everything the job already
-emitted before following it live.  One condition variable per job wakes every
-subscriber on publish and on the terminal transition.
+the same list through private cursors (:meth:`Job.stream`), so a subscriber
+that attaches late — e.g. the second client of a deduplicated submission —
+replays everything the job already emitted before following it live.  One
+condition variable per job wakes every subscriber on publish and on the
+terminal transition; a subscriber blocks on it until there is an event past
+its cursor or the job is terminal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs import metrics as _obs_metrics
 
@@ -136,42 +137,25 @@ class Job:
     # ------------------------------------------------------------------ #
     # Subscription side
     # ------------------------------------------------------------------ #
-    def next_events(
-        self, cursor: int, timeout: Optional[float] = None
-    ) -> Tuple[List[Dict[str, Any]], int, bool]:
-        """Events after ``cursor``: ``(batch, new_cursor, job_is_drained)``.
-
-        Blocks up to ``timeout`` (forever when ``None``) until there is
-        something past the cursor or the job turns terminal.  ``drained`` is
-        only ``True`` once the job is terminal *and* the caller has consumed
-        its whole history — the end-of-stream condition.
-        """
-        with self._cond:
-            if cursor >= len(self._events) and not self.terminal:
-                self._cond.wait(timeout)
-            batch = list(self._events[cursor:])
-            new_cursor = cursor + len(batch)
-            drained = self.terminal and new_cursor >= len(self._events)
-            return batch, new_cursor, drained
-
-    def stream(
-        self, *, replay: bool = True, poll: float = 0.5
-    ) -> Iterator[Dict[str, Any]]:
+    def stream(self, *, replay: bool = True) -> Iterator[Dict[str, Any]]:
         """Yield wire-form events until the job is terminal and drained.
 
         ``replay=True`` starts from the beginning of the history (late
         subscribers see everything); ``replay=False`` follows live only.
-        ``poll`` bounds each wait so a subscriber never deadlocks on a missed
-        notification.
+        Between events the caller blocks on the job's condition, without a
+        timeout: the check runs under the lock every notifier takes, so no
+        notification is missed.
         """
         with self._cond:
             cursor = 0 if replay else len(self._events)
         while True:
-            batch, cursor, drained = self.next_events(cursor, timeout=poll)
-            for event in batch:
-                yield event
-            if drained:
+            with self._cond:
+                self._cond.wait_for(lambda: cursor < len(self._events) or self.terminal)
+                batch = self._events[cursor:]
+            if not batch:  # terminal, and the whole history was yielded
                 return
+            cursor += len(batch)
+            yield from batch
 
     # ------------------------------------------------------------------ #
     # Introspection

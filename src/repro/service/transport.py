@@ -1,27 +1,30 @@
-"""Asyncio JSONL transport: the socket front-end of a :class:`SearchService`.
+"""Threaded JSONL transport: the socket front end of a :class:`SearchService`.
 
-:class:`ServiceServer` runs an asyncio event loop on a dedicated thread and
-speaks the protocol of :mod:`repro.service.protocol` over TCP or a unix
-socket.  The split of labour with the threaded core is deliberate:
+:class:`ServiceServer` speaks the protocol of :mod:`repro.service.protocol`
+over TCP or a unix socket with :mod:`socketserver`: one thread accepts, and
+each connection gets its own daemon thread that calls the threaded core
+directly, so the whole service runs on one concurrency model.
 
-* **fast verbs** (submit/status/jobs/cancel) only take locks, so they run on
-  a worker thread via ``run_in_executor`` and return one response line;
-* **subscribe** bridges the job's blocking event stream into the loop by
-  polling :meth:`repro.service.jobs.Job.next_events` in the executor —
-  events are written as they arrive, any number of connections may follow
-  the same job;
-* **shutdown** answers first, then drains the service and stops the loop.
+* Most verbs answer with one response line.
+* **subscribe** writes the events of :meth:`SearchService.subscribe` as they
+  arrive; between events the connection's thread blocks on the job's
+  condition, and any number of connections may follow the same job.  A
+  client that went away is noticed at the next write, which ends its thread.
+* **shutdown** answers first, then drains the service and stops the server.
 
 The server binds ``port=0`` to an ephemeral port and reports the bound
-address from :meth:`start`, which is what the tests and ``--ready-file`` use.
+address from :meth:`ServiceServer.start`, which is what the tests and
+``--ready-file`` use.
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
+import os
+import socket
+import socketserver
+import stat
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs import get_registry as _obs_registry
 from repro.service.core import SearchService
@@ -29,8 +32,24 @@ from repro.service.protocol import VERBS, decode_line, encode_line, error_payloa
 
 __all__ = ["ServiceServer"]
 
-#: Seconds each executor poll waits for new job events before rechecking.
-_SUBSCRIBE_POLL_S = 0.25
+#: Listen backlog: asyncio's default.  socketserver's own 5 makes a burst of
+#: connections wait out 1 s SYN retries.
+_BACKLOG = 100
+#: Seconds between the accept thread's checks for :meth:`ServiceServer.stop`
+#: when no connection arrives (socketserver's default, 0.5 s, is how long
+#: every stop would take).
+_STOP_POLL_S = 0.05
+
+
+class _TCPServer(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    allow_reuse_address = True
+    request_queue_size = _BACKLOG
+
+
+class _UnixServer(socketserver.ThreadingUnixStreamServer):
+    daemon_threads = True
+    request_queue_size = _BACKLOG
 
 
 class ServiceServer:
@@ -49,32 +68,37 @@ class ServiceServer:
         self.port = port
         self.socket_path = socket_path
         self.address: Optional[str] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
+        self._server: Optional[socketserver.TCPServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> str:
-        """Start serving on a background thread; returns the bound address.
+        """Bind, then serve on a background thread; returns the bound address.
 
         The service's worker pool is started too, so a
-        ``ServiceServer(SearchService(...)).start()`` is fully live.
+        ``ServiceServer(SearchService(...)).start()`` is fully live.  A bind
+        failure raises ``OSError`` before any worker starts.  A socket file
+        already at ``socket_path`` (left by an earlier server) is replaced;
+        any other file there makes the bind fail.
         """
-        if self._thread is not None:
+        if self._server is not None:
             raise RuntimeError("server already started")
+        if self.socket_path is not None:
+            _remove_socket_file(self.socket_path)
+            server: socketserver.TCPServer = _UnixServer(self.socket_path, self._handle)
+            self.address = f"unix:{self.socket_path}"
+        else:
+            server = _TCPServer((self.host, self.port), self._handle)
+            host, port = server.server_address[:2]
+            self.address = f"{host}:{port}"
+        self._server = server
         self.service.start()
         self._thread = threading.Thread(
-            target=self._run_loop, name="repro-service-transport", daemon=True
+            target=self._serve, args=(server,), name="repro-service-transport", daemon=True
         )
         self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-        assert self.address is not None
         return self.address
 
     def wait(self) -> None:
@@ -84,152 +108,90 @@ class ServiceServer:
 
     def stop(self) -> None:
         """Stop the transport (idempotent); does not shut the service down."""
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop_event.set)
-        if self._thread is not None:
+        if self._server is not None and self._thread is not None:
+            # Waits for serve_forever to return, so never call it on _serve's thread.
+            self._server.shutdown()
             self._thread.join(timeout=10.0)
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
+    @staticmethod
+    def _serve(server: socketserver.TCPServer) -> None:
         try:
-            loop.run_until_complete(self._main())
-        except BaseException as exc:  # startup failures reach start()'s caller
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-            else:
-                raise
+            server.serve_forever(poll_interval=_STOP_POLL_S)
         finally:
-            loop.close()
-
-    async def _main(self) -> None:
-        self._stop_event = asyncio.Event()
-        if self.socket_path is not None:
-            server = await asyncio.start_unix_server(self._handle, path=self.socket_path)
-            self.address = f"unix:{self.socket_path}"
-        else:
-            server = await asyncio.start_server(self._handle, self.host, self.port)
-            bound = server.sockets[0].getsockname()
-            self.address = f"{bound[0]}:{bound[1]}"
-        self._ready.set()
-        async with server:
-            await self._stop_event.wait()
+            server.server_close()
 
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _handle(self, sock: socket.socket, _client: Any, _server: Any) -> None:
+        """Serve one connection on its own thread, answering requests in order.
+
+        socketserver calls this in place of a request handler class and
+        closes the socket when it returns.
+        """
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return
-                if not line.strip():
-                    continue
-                try:
-                    request = decode_line(line)
-                except ValueError as exc:
-                    writer.write(encode_line(error_payload(str(exc))))
-                else:
+            with sock.makefile("rb") as reader:
+                for line in reader:
+                    if not line.strip():
+                        continue
                     try:
-                        await self._dispatch(request, writer)
+                        self._dispatch(decode_line(line), sock.sendall)
                     except (ValueError, KeyError) as exc:
                         message = exc.args[0] if exc.args else str(exc)
-                        writer.write(encode_line(error_payload(str(message))))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
+                        sock.sendall(encode_line(error_payload(str(message))))
+        except ConnectionError:
             pass  # client went away mid-stream; nothing to clean up
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
-    async def _call(self, fn: Any, *args: Any, **kwargs: Any) -> Any:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, functools.partial(fn, *args, **kwargs))
-
-    async def _dispatch(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
+    def _dispatch(self, request: Dict[str, Any], send: Callable[[bytes], Any]) -> None:
         op = request.get("op")
+        if op == "subscribe":
+            job_id = self._job_id(request)
+            replay = bool(request.get("replay", True))
+            for event in self.service.subscribe(job_id, replay=replay):
+                send(encode_line({"ok": True, "event": event}))
+            send(encode_line({"ok": True, "done": True, "job": self.service.status(job_id)}))
+        elif op == "shutdown":
+            drain = bool(request.get("drain", True))
+            send(encode_line({"ok": True, "shutting_down": True, "drain": drain}))
+            self.service.shutdown(drain=drain)
+            self.stop()
+        else:
+            send(encode_line({"ok": True, **self._reply(op, request)}))
+
+    def _reply(self, op: Any, request: Dict[str, Any]) -> Dict[str, Any]:
+        """The response of a one-line verb, without its ``ok``."""
         if op == "ping":
-            writer.write(encode_line({"ok": True, "pong": True}))
-            return
+            return {"pong": True}
         if op == "submit":
             payload = request.get("spec") if "spec" in request else request.get("sweep")
             if payload is None:
                 raise ValueError("submit needs a 'spec' or 'sweep' document")
-            ack = await self._call(
-                self.service.submit,
+            return self.service.submit(
                 payload,
                 client=str(request.get("client", "anon")),
                 priority=int(request.get("priority", 0)),
             )
-            writer.write(encode_line({"ok": True, **ack}))
-            return
-        if op == "status":
-            snapshot = self.service.status(self._job_id(request))
+        if op in ("status", "cancel"):
+            job_id = self._job_id(request)
+            if op == "status":
+                snapshot = self.service.status(job_id)
+            else:
+                snapshot = self.service.cancel(job_id)
             if snapshot is None:
-                raise KeyError(f"unknown job {request.get('job_id')!r}")
-            writer.write(encode_line({"ok": True, "job": snapshot}))
-            return
+                raise KeyError(f"unknown job {job_id!r}")
+            return {"job": snapshot}
         if op == "jobs":
-            writer.write(
-                encode_line(
-                    {
-                        "ok": True,
-                        "jobs": self.service.jobs(),
-                        "stats": self.service.service_stats(),
-                    }
-                )
-            )
-            return
-        if op == "cancel":
-            snapshot = await self._call(self.service.cancel, self._job_id(request))
-            if snapshot is None:
-                raise KeyError(f"unknown job {request.get('job_id')!r}")
-            writer.write(encode_line({"ok": True, "job": snapshot}))
-            return
-        if op == "subscribe":
-            await self._subscribe(request, writer)
-            return
+            return {"jobs": self.service.jobs(), "stats": self.service.service_stats()}
         if op == "metrics":
             fmt = request.get("format", "json")
-            registry = _obs_registry()
             if fmt == "prometheus":
-                text = await self._call(registry.render_prometheus)
-                writer.write(encode_line({"ok": True, "text": text}))
-            elif fmt == "json":
-                snapshot = await self._call(registry.snapshot)
-                writer.write(
-                    encode_line(
-                        {
-                            "ok": True,
-                            "metrics": snapshot,
-                            "service": self.service.service_stats(),
-                        }
-                    )
-                )
-            else:
-                raise ValueError(
-                    f"unknown metrics format {fmt!r}; use 'json' or 'prometheus'"
-                )
-            return
-        if op == "shutdown":
-            drain = bool(request.get("drain", True))
-            writer.write(encode_line({"ok": True, "shutting_down": True, "drain": drain}))
-            await writer.drain()
-            await self._call(self.service.shutdown, drain=drain)
-            assert self._stop_event is not None
-            self._stop_event.set()
-            return
+                return {"text": _obs_registry().render_prometheus()}
+            if fmt == "json":
+                return {
+                    "metrics": _obs_registry().snapshot(),
+                    "service": self.service.service_stats(),
+                }
+            raise ValueError(f"unknown metrics format {fmt!r}; use 'json' or 'prometheus'")
         raise ValueError(f"unknown op {op!r}; known ops: {', '.join(VERBS)}")
 
     @staticmethod
@@ -239,26 +201,12 @@ class ServiceServer:
             raise ValueError(f"{request.get('op')} needs a 'job_id' string")
         return job_id
 
-    async def _subscribe(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
-        job = self.service.job(self._job_id(request))
-        if job is None:
-            raise KeyError(f"unknown job {request.get('job_id')!r}")
-        replay = bool(request.get("replay", True))
-        cursor = 0
-        if not replay:
-            _, cursor, _ = job.next_events(cursor=0, timeout=0)
-        while True:
-            batch, cursor, drained = await self._call(
-                job.next_events, cursor, timeout=_SUBSCRIBE_POLL_S
-            )
-            for event in batch:
-                writer.write(encode_line({"ok": True, "event": event}))
-            if batch:
-                await writer.drain()
-            if drained:
-                writer.write(
-                    encode_line({"ok": True, "done": True, "job": job.snapshot()})
-                )
-                return
+
+def _remove_socket_file(path: str) -> None:
+    """Delete a unix socket file left at ``path`` by an earlier server; a
+    file of any other kind is left for the bind to fail on."""
+    try:
+        if stat.S_ISSOCK(os.stat(path).st_mode):
+            os.remove(path)
+    except FileNotFoundError:
+        pass

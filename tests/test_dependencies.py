@@ -28,6 +28,24 @@ def test_importing_the_package_loads_no_numpy():
     assert out.stdout == "False"
 
 
+def test_importing_the_package_loads_no_event_loop_or_executor():
+    """The service runs on plain threads: no asyncio, no concurrent.futures."""
+    code = (
+        "import sys\n"
+        "import repro, repro.lab, repro.service, repro.paper, repro.cli\n"
+        "print([m for m in ('asyncio', 'concurrent.futures') if m in sys.modules], end='')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout == "[]"
+
+
 def _imported_packages(path: Path):
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -42,6 +60,15 @@ def test_no_module_imports_numpy(directory):
         str(path.relative_to(ROOT))
         for path in sorted((ROOT / directory).rglob("*.py"))
         if "numpy" in set(_imported_packages(path))
+    ]
+    assert offenders == []
+
+
+def test_no_package_module_imports_asyncio():
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if "asyncio" in set(_imported_packages(path))
     ]
     assert offenders == []
 

@@ -383,6 +383,45 @@ class TestCancellationAndResume:
             del ALGORITHMS["gated-sample"]
             close_shared_sweep_pool()  # drop workers carrying the registration
 
+    def test_a_pool_closed_under_a_waiting_batch_says_closed_not_died(self, tmp_path):
+        """close_shared_pool() from another thread while the batch waits on
+        two busy workers: the batch fails naming the close, and no worker is
+        blamed for dying (or killed as dead)."""
+        close_shared_sweep_pool()  # next pool forks after the registration below
+        _register_gated_algorithm()
+        batch_failed = threading.Event()
+
+        def close_under_the_batch():
+            deadline = time.monotonic() + 30.0
+            while len(list(tmp_path.glob("start-*"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            closer = threading.Thread(target=close_shared_sweep_pool, daemon=True)
+            closer.start()
+            # close() waits for the two gated workers; free them only once the
+            # batch has failed, so it fails while waiting for their frames.
+            batch_failed.wait(timeout=30.0)
+            (tmp_path / "gate").touch()
+            closer.join(timeout=30.0)
+            assert not closer.is_alive()
+
+        helper = threading.Thread(target=close_under_the_batch, daemon=True)
+        try:
+            helper.start()
+            with pytest.raises(RuntimeError, match="closed") as raised:
+                try:
+                    Engine().run_many(
+                        _gated_specs(tmp_path, 4), executor="process", max_workers=2
+                    )
+                finally:
+                    batch_failed.set()
+            assert "died" not in str(raised.value)
+            helper.join(timeout=60.0)
+            assert not helper.is_alive()
+        finally:
+            batch_failed.set()
+            del ALGORITHMS["gated-sample"]
+            close_shared_sweep_pool()  # drop workers carrying the registration
+
 
 class TestObsMerge:
     def test_child_engine_runs_surface_in_parent_registry(self):

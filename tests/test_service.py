@@ -8,6 +8,8 @@ one search and a completed submission re-serves from the store with zero
 searches.
 """
 
+import socket
+import sys
 import threading
 import time
 
@@ -18,7 +20,9 @@ from repro.core.sample import sample
 from repro.lab import ResultStore, SweepSpec
 from repro.service import (
     ClientRateLimiter,
+    Job,
     JobQueue,
+    JobState,
     QueueFull,
     SearchService,
     ServiceClient,
@@ -293,6 +297,40 @@ class TestServiceLifecycle:
         with pytest.raises(KeyError, match="job-404"):
             SearchService().subscribe("job-404")
 
+    def test_every_subscriber_sees_the_whole_history_under_contention(self):
+        """Subscribers block on the job's condition with no timeout: under
+        constant thread switching none misses a wake-up (it would hang past
+        the join), loses an event or outlives its job."""
+        history = [{"kind": "completed", "index": n} for n in range(20)]
+
+        def follow(job, start, seen, slot):
+            start.wait()
+            seen[slot] = list(job.stream())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                job = Job("job-1", client="t", kind="search", payload=None, key="k")
+                seen = [None] * 8
+                start = threading.Barrier(len(seen) + 1, timeout=10)
+                threads = [
+                    threading.Thread(target=follow, args=(job, start, seen, i), daemon=True)
+                    for i in range(len(seen))
+                ]
+                for thread in threads:
+                    thread.start()
+                start.wait()
+                for event in history:
+                    job.publish(event)
+                job.finish(JobState.COMPLETED)
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [history] * len(seen)
+        finally:
+            sys.setswitchinterval(interval)
+
 
 # --------------------------------------------------------------------- #
 # Protocol helpers
@@ -465,3 +503,98 @@ class TestTransport:
     def test_bad_address_fails_fast(self):
         with pytest.raises(ValueError, match="expected 'host:port'"):
             ServiceClient("nonsense")
+
+    def test_stale_socket_file_is_replaced(self, tmp_path):
+        path = tmp_path / "svc.sock"
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as earlier:
+            earlier.bind(str(path))  # closing leaves the socket file behind
+        assert path.is_socket()
+        service = SearchService()
+        server = ServiceServer(service, socket_path=str(path))
+        try:
+            assert ServiceClient(server.start(), timeout=10).ping()
+        finally:
+            service.shutdown(drain=False, timeout=5)
+            server.stop()
+
+    def test_regular_file_at_the_socket_path_survives_a_failed_bind(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a socket")
+        service = SearchService()
+        try:
+            with pytest.raises(OSError):
+                ServiceServer(service, socket_path=str(path)).start()
+        finally:
+            service.shutdown(drain=False, timeout=5)
+        assert path.read_text() == "not a socket"
+
+    def test_a_failed_bind_starts_no_worker_threads(self):
+        service = SearchService()
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            server = ServiceServer(service, port=taken.getsockname()[1])
+            before = set(threading.enumerate())
+            try:
+                with pytest.raises(OSError):
+                    server.start()
+                assert set(threading.enumerate()) - before == set()
+            finally:
+                service.shutdown(drain=False, timeout=5)
+
+    def test_a_client_that_disconnects_mid_subscribe_costs_nothing(self, served, recorder):
+        """The server keeps serving, the job completes into the store, and
+        the dead subscription's connection thread ends."""
+        client, service = served
+        recorder.gate.clear()
+        job_id = service.submit(PROBE)["job_id"]  # in process: opens no connection
+        assert recorder.started.wait(10)
+        before = set(threading.enumerate())
+        _, target = parse_address(client.address)
+        with socket.create_connection(target, timeout=10) as sock:
+            sock.sendall(encode_line({"op": "subscribe", "job_id": job_id}))
+            with sock.makefile("rb") as reader:
+                first = decode_line(reader.readline())
+            subscription = set(threading.enumerate()) - before
+        assert first["event"]["kind"] == "started"
+        assert len(subscription) == 1  # the connection's own thread
+        recorder.gate.set()
+        assert client.ping()
+        assert client.run(PROBE.replace(seed=8))["job"]["state"] == "completed"
+        assert client.wait(job_id)["job"]["state"] == "completed"
+        assert client.submit(PROBE)["status"] == "cached"  # the record was stored
+        (thread,) = subscription
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_submits_do_not_wait_behind_subscribers(self, served, recorder):
+        """34 connections follow a gated job (more than the 32 threads an
+        asyncio default executor tops out at); submit round trips stay fast."""
+        client, _ = served
+        recorder.gate.clear()
+        job_id = client.submit(PROBE)["job_id"]
+        assert recorder.started.wait(10)
+        following = threading.Semaphore(0)
+
+        def follow():
+            events = client.subscribe(job_id)
+            next(events)  # the replayed "started" event
+            following.release()
+            for _ in events:
+                pass
+
+        threads = [threading.Thread(target=follow, daemon=True) for _ in range(34)]
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in threads:
+                assert following.acquire(timeout=30)
+            for seed in range(10):
+                sent = time.perf_counter()
+                assert client.submit(PROBE.replace(seed=100 + seed))["status"] == "queued"
+                assert time.perf_counter() - sent < 0.2
+        finally:
+            recorder.gate.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
