@@ -24,8 +24,8 @@ The library is organised as:
   :mod:`repro.workloads` — cost model, reporting, the published numbers of
   Tables I–VI and the named workloads;
 * :mod:`repro.service` — search-as-a-service: a job server multiplexing
-  client submissions onto the Engine with queueing, dedup (store + in-flight),
-  rate limiting and a JSONL socket protocol (``repro serve``);
+  client submissions onto the Engine with a bounded FIFO queue, dedup
+  (store + in-flight) and a JSONL socket protocol (``repro serve``);
 * :mod:`repro.obs` — opt-in telemetry: process-wide metrics registry,
   tracing spans (``RunReport.telemetry``), the rollout profiler
   (``repro profile``) and live exposition (``repro stats``, the service's

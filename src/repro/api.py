@@ -263,7 +263,14 @@ class SearchSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SearchSpec":
-        """Build a spec from a dict, rejecting unknown keys with a helpful message."""
+        """Build a spec from a dict.
+
+        Raises ``ValueError`` for any malformed document: one that is not a
+        mapping, has unknown keys, a ``params`` that is not a mapping, or a
+        value of a type its field cannot take.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a SearchSpec document must be an object, got {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -271,7 +278,12 @@ class SearchSpec:
                 f"unknown SearchSpec fields: {', '.join(unknown)}; "
                 f"known fields: {', '.join(sorted(known))}"
             )
-        return cls(**dict(data))
+        if not isinstance(data.get("params", {}), Mapping):
+            raise ValueError(f"SearchSpec params must be an object, got {data['params']!r}")
+        try:
+            return cls(**data)
+        except TypeError as exc:  # e.g. a string level compared with 0
+            raise ValueError(f"malformed SearchSpec: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "SearchSpec":

@@ -168,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute each job's cells on a pool of N worker processes (GIL-free)",
     )
     p.add_argument("--queue-depth", type=int, default=64, help="max pending jobs before backpressure rejections")
-    p.add_argument("--rate", type=float, default=None, help="per-client token-bucket refill (submissions/second)")
-    p.add_argument("--burst", type=float, default=None, help="per-client token-bucket capacity (default max(1, rate))")
     p.add_argument("--store", default=None, help="ResultStore directory for dedup/cache (strongly recommended)")
     p.add_argument(
         "--ready-file",
@@ -184,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", required=True, help="server address: HOST:PORT or unix:PATH")
     add_scenario_flags(p)
     p.add_argument("--sweep", default=None, help="SweepSpec JSON file or inline document (instead of a SearchSpec)")
-    p.add_argument("--client", default="cli", help="client identity (rate-limit / fairness bucket)")
-    p.add_argument("--priority", type=int, default=0, help="queue priority (lower pops first)")
+    p.add_argument("--client", default="cli", help="client label recorded on the job")
     p.add_argument("--no-wait", action="store_true", help="print the submission ack and exit without subscribing")
     add_json(p)
 
@@ -489,8 +486,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         config = ServiceConfig(
             n_workers=args.workers,
             queue_depth=args.queue_depth,
-            rate=args.rate,
-            burst=args.burst,
             cell_processes=args.processes,
         )
     except ValueError as exc:
@@ -539,9 +534,7 @@ def _submit_command(args: argparse.Namespace) -> int:
         else:
             payload = {"spec": _spec_from_args(args).to_dict()}
         client = ServiceClient(args.connect, client=args.client)
-        ack = client.submit(
-            payload.get("spec"), sweep=payload.get("sweep"), priority=args.priority
-        )
+        ack = client.submit(payload.get("spec"), sweep=payload.get("sweep"))
     except (ServiceError, ValueError, KeyError, OSError) as exc:
         _print_error(f"error: {exc}")
         return 2
@@ -631,17 +624,22 @@ def _jobs_command(args: argparse.Namespace) -> int:
     _print(
         f"\nsubmitted: {stats['submitted']}  queued: {stats['queued']}  "
         f"cached: {stats['cached']}  attached: {stats['attached']}  "
-        f"rejected: {stats['rejected_rate_limited'] + stats['rejected_queue_full'] + stats['rejected_shutting_down']}"
+        f"rejected: {stats['rejected_queue_full'] + stats['rejected_shutting_down']}"
     )
     return 0
 
 
-def _metric_total(snapshot: Dict[str, Any], name: str) -> float:
-    """Sum of a counter/gauge family across all label series (0 if absent)."""
+def _metric_total(snapshot: Dict[str, Any], name: str, **labels: str) -> float:
+    """Sum of a counter/gauge family across the label series that carry
+    ``labels`` (all series by default; 0 if absent)."""
     family = snapshot.get(name)
     if not family:
         return 0.0
-    return sum(entry["value"] for entry in family["values"])
+    return sum(
+        entry["value"]
+        for entry in family["values"]
+        if labels.items() <= entry["labels"].items()
+    )
 
 
 def _histogram_totals(snapshot: Dict[str, Any], name: str) -> "tuple[float, float]":
@@ -670,8 +668,7 @@ def _render_stats(snapshot: Dict[str, Any], service: Dict[str, Any]) -> str:
         f"store:   {hits:.0f} hits, {misses:.0f} misses, "
         f"{_metric_total(snapshot, 'repro_store_writes_total'):.0f} writes{hit_rate}",
         f"queue:   depth {_metric_total(snapshot, 'repro_service_queue_depth'):.0f}, "
-        f"{_metric_total(snapshot, 'repro_service_queue_pushed_total'):.0f} pushed, "
-        f"{_metric_total(snapshot, 'repro_service_rate_limited_total'):.0f} rate-limited",
+        f"{_metric_total(snapshot, 'repro_service_submissions_total', status='queued'):.0f} queued",
         f"jobs:    {jobs_n:.0f} finished"
         + (f", mean {jobs_s / jobs_n:.2f}s submit-to-finish" if jobs_n else "")
         + (f", mean queue wait {wait_s / wait_n * 1e3:.1f}ms" if wait_n else ""),

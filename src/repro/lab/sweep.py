@@ -189,6 +189,9 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
+        """Build a sweep from a dict; ``ValueError`` for any malformed document."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a SweepSpec document must be an object, got {data!r}")
         known = {"name", "base", "axes", "repeats"}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -199,12 +202,20 @@ class SweepSpec:
         base = data.get("base", {})
         if isinstance(base, Mapping):
             base = SearchSpec.from_dict(base)
-        return cls(
-            base=base,
-            axes=data.get("axes", {}),
-            name=data.get("name", "sweep"),
-            repeats=int(data.get("repeats", 1)),
-        )
+        elif not isinstance(base, SearchSpec):
+            raise ValueError(f"a SweepSpec base must be a SearchSpec object, got {base!r}")
+        axes = data.get("axes", {})
+        if not isinstance(axes, Mapping):
+            raise ValueError(f"SweepSpec axes must be an object, got {axes!r}")
+        try:
+            return cls(
+                base=base,
+                axes=axes,
+                name=data.get("name", "sweep"),
+                repeats=int(data.get("repeats", 1)),
+            )
+        except (TypeError, OverflowError) as exc:  # e.g. a string level on an axis
+            raise ValueError(f"malformed SweepSpec: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":

@@ -7,15 +7,15 @@ the *library itself*.  A long-running :class:`SearchService` accepts
 submissions from any number of clients and multiplexes them onto a
 persistent worker pool, with:
 
-* a bounded, client-fair, priority :class:`~repro.service.queue.JobQueue`
-  (overload answers *rejected/queue_full* — backpressure, not buffering);
-* two-level deduplication against the content-addressed
-  :class:`~repro.lab.store.ResultStore` (cache hit → immediate result,
-  zero searches) and against in-flight jobs (identical submission →
-  subscribe to the running job, exactly one search executes);
-* per-client token-bucket rate limiting
-  (:mod:`repro.service.ratelimit`) and cooperative cancellation (the
-  ``threading.Event`` plumbing ``Engine.stream`` already honours);
+* a bounded FIFO job queue: jobs run in submission order, as the paper's
+  dispatcher hands out client jobs, and overload answers
+  *rejected/queue_full* — backpressure, not buffering;
+* two-level deduplication against in-flight jobs (identical submission →
+  subscribe to the running job, exactly one search executes) and against
+  the content-addressed :class:`~repro.lab.store.ResultStore` (cache hit →
+  immediate result, zero searches);
+* cooperative cancellation (the ``threading.Event`` plumbing
+  ``Engine.stream`` already honours);
 * a subscription layer replaying/streaming wire-form
   :class:`~repro.api.RunEvent`\\ s to any number of subscribers per job;
 * a newline-delimited-JSON transport: :class:`ServiceServer` (TCP or unix
@@ -33,8 +33,6 @@ See ``docs/SERVICE.md`` for the architecture and wire protocol.
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.core import SearchService, ServiceConfig
 from repro.service.jobs import Job, JobState
-from repro.service.queue import JobQueue, QueueFull
-from repro.service.ratelimit import ClientRateLimiter, TokenBucket
 from repro.service.transport import ServiceServer
 
 __all__ = [
@@ -45,8 +43,4 @@ __all__ = [
     "ServiceError",
     "Job",
     "JobState",
-    "JobQueue",
-    "QueueFull",
-    "TokenBucket",
-    "ClientRateLimiter",
 ]

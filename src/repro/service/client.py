@@ -32,8 +32,8 @@ class ServiceClient:
     address:
         ``"host:port"`` or ``"unix:<path>"``.
     client:
-        The client identity submitted with each job — the unit of the
-        server's rate limiting and queue fairness.
+        The label submitted with each job; the server records it on the job
+        (``repro jobs`` shows it) and in its telemetry.
     timeout:
         Socket timeout (seconds) for request/response verbs.  ``subscribe``
         ignores it (events may be minutes apart on long sweeps).
@@ -56,8 +56,12 @@ class ServiceClient:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         else:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(target)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(target)
+        except OSError:
+            sock.close()
+            raise
         return sock
 
     def _request(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
@@ -98,7 +102,6 @@ class ServiceClient:
         spec: Optional[Union[Mapping[str, Any], Any]] = None,
         *,
         sweep: Optional[Union[Mapping[str, Any], Any]] = None,
-        priority: int = 0,
         client: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Submit a spec or sweep; returns the server's acknowledgement.
@@ -113,7 +116,6 @@ class ServiceClient:
         request: Dict[str, Any] = {
             "op": "submit",
             "client": client if client is not None else self.client,
-            "priority": priority,
         }
         if spec is not None:
             request["spec"] = spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
@@ -200,7 +202,6 @@ class ServiceClient:
         spec: Optional[Union[Mapping[str, Any], Any]] = None,
         *,
         sweep: Optional[Union[Mapping[str, Any], Any]] = None,
-        priority: int = 0,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> Dict[str, Any]:
         """Submit and wait: the blocking convenience wrapper.
@@ -208,9 +209,9 @@ class ServiceClient:
         Returns :meth:`wait`'s outcome plus ``"submit"`` (the ack), so the
         caller can see whether the job was fresh, cached, or attached to an
         in-flight duplicate.  Raises :class:`ServiceError` if the submission
-        was rejected (rate limit, full queue, shutdown).
+        was rejected (full queue, shutdown).
         """
-        ack = self.submit(spec, sweep=sweep, priority=priority)
+        ack = self.submit(spec, sweep=sweep)
         if ack.get("status") == "rejected":
             raise ServiceError(f"submission rejected: {ack.get('reason')}")
         outcome = self.wait(ack["job_id"], on_event=on_event)

@@ -1,29 +1,32 @@
-"""The service core: a scheduler multiplexing submissions onto worker pools.
+"""The service core: a scheduler multiplexing submissions onto worker threads.
 
 :class:`SearchService` is the long-running heart of ``repro serve``:
 
 * submissions (:class:`~repro.api.SearchSpec` or
   :class:`~repro.lab.sweep.SweepSpec`, as objects or plain dicts) enter
-  through :meth:`SearchService.submit`, which applies — in order — the
-  per-client token-bucket **rate limit**, **deduplication** and the bounded
-  **job queue** (rejection = backpressure, never blocking);
+  through :meth:`SearchService.submit`, which applies — in order —
+  admission (a stopping service rejects), **deduplication** and the bounded
+  **FIFO job queue** (rejection = backpressure, never blocking);
 * dedup is two-level, mirroring the content-addressed
-  :class:`~repro.lab.store.ResultStore`: a single-spec submission whose
-  record already exists resolves *immediately* to a completed job carrying a
-  ``cached`` event (zero searches), and a submission whose content key
+  :class:`~repro.lab.store.ResultStore`: a submission whose content key
   matches a queued/running job **attaches** to it — the second client
-  subscribes to the first job's event stream and exactly one search executes;
-* persistent worker threads pop jobs under the queue's fairness policy and
-  drive them through :meth:`repro.api.Engine.stream` (so per-cell store
-  caching, resume and cooperative cancellation via the job's
-  ``threading.Event`` all come from the engine layer);
+  subscribes to the first job's event stream and exactly one search
+  executes — and a single-spec submission whose record already exists
+  resolves *immediately* to a completed job carrying a ``cached`` event
+  (zero searches);
+* persistent worker threads take jobs in submission order and drive them
+  through :meth:`repro.api.Engine.stream` (so per-cell store caching, resume
+  and cooperative cancellation via the job's ``threading.Event`` all come
+  from the engine layer);
 * every :class:`~repro.api.RunEvent` is published onto the job's history,
   which any number of subscribers replay/follow (see
   :class:`repro.service.jobs.Job`).
 
-The service is transport-agnostic and runs on plain threads: in-process
-callers use it directly (see ``tests/test_service.py``), and the threaded
-JSONL server (:mod:`repro.service.transport`) calls it from one thread per
+The queue, the job table and the counters sit behind one lock, with one
+condition on it that wakes idle workers and a draining ``shutdown``.  The
+service is transport-agnostic and runs on plain threads: in-process callers
+use it directly (see ``tests/test_service.py``), and the threaded JSONL
+server (:mod:`repro.service.transport`) calls it from one thread per
 connection.
 """
 
@@ -33,8 +36,9 @@ import hashlib
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.api import Engine, RunEvent, SearchSpec
 from repro.lab.keys import spec_key
@@ -42,8 +46,6 @@ from repro.lab.store import ResultStore
 from repro.lab.sweep import SweepSpec
 from repro.obs import metrics as _obs_metrics
 from repro.service.jobs import Job, JobState
-from repro.service.queue import JobQueue, QueueFull
-from repro.service.ratelimit import ClientRateLimiter
 
 __all__ = ["SearchService", "ServiceConfig", "Submission"]
 
@@ -58,14 +60,13 @@ _REJECTIONS = _obs_metrics.counter(
     "rejected submissions, by reason",
     labelnames=("reason",),
 )
+_QUEUE_DEPTH = _obs_metrics.gauge(
+    "repro_service_queue_depth", "jobs currently pending in the service queue"
+)
 
 #: What submit() accepts.
 Submission = Union[SearchSpec, SweepSpec, Mapping[str, Any]]
 
-
-#: Seconds a service worker waits on an empty queue before re-checking for
-#: shutdown, and ``shutdown`` sleeps between its idle checks.
-_POLL_INTERVAL_S = 0.05
 #: How long ``shutdown`` waits for in-flight work unless given ``timeout``.
 _DRAIN_TIMEOUT_S = 60.0
 
@@ -74,8 +75,7 @@ _DRAIN_TIMEOUT_S = 60.0
 class ServiceConfig:
     """Tunables of a :class:`SearchService`.
 
-    ``rate``/``burst`` configure the per-client token bucket (submissions per
-    second / bucket capacity); ``rate=None`` disables rate limiting.
+    ``n_workers`` worker threads run jobs in submission order.
     ``queue_depth`` bounds pending jobs — submissions beyond it are rejected
     with ``queue_full`` (backpressure).
 
@@ -89,8 +89,6 @@ class ServiceConfig:
 
     n_workers: int = 2
     queue_depth: int = 64
-    rate: Optional[float] = None
-    burst: Optional[float] = None
     cell_processes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -110,7 +108,6 @@ class SearchService:
         engine: Optional[Engine] = None,
         store: Optional[ResultStore] = None,
         config: Optional[ServiceConfig] = None,
-        clock: Any = time.monotonic,
     ) -> None:
         self.engine = engine if engine is not None else Engine()
         self.store = store
@@ -118,24 +115,27 @@ class SearchService:
         # The same salted view Engine.stream consults/writes, so the submit
         # path's cache probe and the execution path can never disagree.
         self._store_view = self.engine._store_for(store)
-        self._limiter = ClientRateLimiter(self.config.rate, self.config.burst, clock)
-        self._queue = JobQueue(self.config.queue_depth)
+        #: Guards every field below.
         self._lock = threading.Lock()
+        #: Notified when a job is queued, leaves the queue or finishes, and
+        #: on exit: workers wait on it for work, ``shutdown`` for idle.
+        self._changed = threading.Condition(self._lock)
+        #: Queued jobs, oldest first; every one is in state QUEUED.
+        self._pending: Deque[Job] = deque()
         self._jobs: Dict[str, Job] = {}
         #: content key -> job id, for queued/running jobs only
         self._inflight: Dict[str, str] = {}
         self._running = 0
         self._ids = itertools.count(1)
         self._workers: List[threading.Thread] = []
-        self._stopping = threading.Event()
-        self._exit = threading.Event()
         self._started = False
+        self._stopping = False
+        self._exit = False
         self.stats = {
             "submitted": 0,
             "queued": 0,
             "cached": 0,
             "attached": 0,
-            "rejected_rate_limited": 0,
             "rejected_queue_full": 0,
             "rejected_shutting_down": 0,
             "searches_started": 0,
@@ -166,22 +166,15 @@ class SearchService:
         cancels everything still pending first (running jobs stop at their
         next cell boundary — cancellation is cooperative).
         """
-        self._stopping.set()
-        if not drain:
-            with self._lock:
-                pending = [job for job in self._jobs.values() if not job.terminal]
-            for job in pending:
-                self._cancel_job(job)
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else _DRAIN_TIMEOUT_S
-        )
-        while time.monotonic() < deadline:
-            with self._lock:
-                idle = not self._inflight and self._running == 0
-            if idle:
-                break
-            time.sleep(_POLL_INTERVAL_S)
-        self._exit.set()
+        deadline = time.monotonic() + (timeout if timeout is not None else _DRAIN_TIMEOUT_S)
+        with self._changed:
+            self._stopping = True
+            if not drain:
+                for job_id in list(self._inflight.values()):
+                    self._cancel_job(self._jobs[job_id])
+            self._changed.wait_for(lambda: not self._inflight, deadline - time.monotonic())
+            self._exit = True
+            self._changed.notify_all()
         for thread in self._workers:
             thread.join(timeout=max(0.0, deadline - time.monotonic()) + 1.0)
 
@@ -194,12 +187,11 @@ class SearchService:
     # ------------------------------------------------------------------ #
     # Submission path
     # ------------------------------------------------------------------ #
-    def submit(
-        self, payload: Submission, *, client: str = "anon", priority: int = 0
-    ) -> Dict[str, Any]:
+    def submit(self, payload: Submission, *, client: str = "anon") -> Dict[str, Any]:
         """Admit one submission; returns the acknowledgement payload.
 
-        The ack's ``status`` is one of:
+        ``client`` is a label recorded on the job.  The ack's ``status`` is
+        one of:
 
         * ``"queued"`` — a new job was created and enqueued;
         * ``"cached"`` — the single-spec result already sat in the store;
@@ -207,110 +199,63 @@ class SearchService:
           searches executed;
         * ``"attached"`` — an identical submission is already queued or
           running; ``job_id`` names *that* job (subscribe to it for events);
-        * ``"rejected"`` — with ``reason`` ``rate_limited`` / ``queue_full``
-          / ``shutting_down``; no job was created.
+        * ``"rejected"`` — with ``reason`` ``queue_full`` (and the
+          ``queue_depth``) or ``shutting_down``; no job was created.
 
         Raises ``ValueError`` on malformed payloads (unknown spec fields,
         bad axis values, ...), which transports surface as error responses.
         """
         with self._lock:
             self.stats["submitted"] += 1
-        if self._stopping.is_set():
+            stopping = self._stopping
+        if stopping:
             return self._reject(client, "shutting_down")
-        if not self._limiter.allow(client):
-            return self._reject(client, "rate_limited")
         kind, payload, key, total_cells = self._normalise(payload)
-        with self._lock:
-            inflight_id = self._inflight.get(key)
-            if inflight_id is not None:
-                job = self._jobs[inflight_id]
-                job.attached += 1
-                self.stats["attached"] += 1
-                _SUBMISSIONS.labels(client=client, status="attached").inc()
-                return {
-                    "status": "attached",
-                    "job_id": job.id,
-                    "state": job.state.value,
-                    "key": key,
-                }
+        cached: Optional[Dict[str, Any]] = None
         if kind == "search" and self._store_view is not None:
-            report = self._store_view.get(self._pin(payload))
+            pinned = self._pin(payload)
+            report = self._store_view.get(pinned)
             if report is not None:
-                return self._cached_job(payload, key, client, priority, report)
-        job = Job(
-            f"job-{next(self._ids)}",
-            client=client,
-            kind=kind,
-            payload=payload,
-            key=key,
-            priority=priority,
-            total_cells=total_cells,
-        )
+                cached = RunEvent("cached", 0, 1, pinned, report=report, done=1).to_dict()
         with self._lock:
-            # Re-check under the lock: an identical submission may have won
-            # the race between the check above and here.
-            inflight_id = self._inflight.get(key)
-            if inflight_id is not None:
-                existing = self._jobs[inflight_id]
-                existing.attached += 1
-                self.stats["attached"] += 1
-                _SUBMISSIONS.labels(client=client, status="attached").inc()
-                return {
-                    "status": "attached",
-                    "job_id": existing.id,
-                    "state": existing.state.value,
-                    "key": key,
-                }
-            try:
-                self._queue.push(job)
-            except QueueFull:
-                self.stats["rejected_queue_full"] += 1
-                _SUBMISSIONS.labels(client=client, status="rejected").inc()
-                _REJECTIONS.labels(reason="queue_full").inc()
-                return {
-                    "status": "rejected",
-                    "reason": "queue_full",
-                    "queue_depth": self.config.queue_depth,
-                }
-            self._jobs[job.id] = job
-            self._inflight[key] = job.id
-            self.stats["queued"] += 1
-        _SUBMISSIONS.labels(client=client, status="queued").inc()
-        return {"status": "queued", "job_id": job.id, "state": job.state.value, "key": key}
+            job = self._jobs[self._inflight[key]] if key in self._inflight else None
+            if job is not None:
+                job.attached += 1
+                status = "attached"
+            elif cached is not None or len(self._pending) < self.config.queue_depth:
+                job = Job(
+                    f"job-{next(self._ids)}",
+                    client=client,
+                    kind=kind,
+                    payload=payload,
+                    key=key,
+                    total_cells=total_cells,
+                )
+                self._jobs[job.id] = job
+                if cached is None:
+                    self._pending.append(job)
+                    self._inflight[key] = job.id
+                    _QUEUE_DEPTH.set(len(self._pending))
+                    self._changed.notify_all()
+                    status = "queued"
+                else:
+                    job.publish(cached)
+                    job.finish(JobState.COMPLETED)
+                    status = "cached"
+            if job is not None:
+                self.stats[status] += 1
+                ack = {"status": status, "job_id": job.id, "state": job.state.value, "key": key}
+        if job is None:  # no room in the queue
+            return self._reject(client, "queue_full", queue_depth=self.config.queue_depth)
+        _SUBMISSIONS.labels(client=client, status=status).inc()
+        return ack
 
-    def _reject(self, client: str, reason: str) -> Dict[str, Any]:
+    def _reject(self, client: str, reason: str, **detail: Any) -> Dict[str, Any]:
         with self._lock:
             self.stats[f"rejected_{reason}"] += 1
         _SUBMISSIONS.labels(client=client, status="rejected").inc()
         _REJECTIONS.labels(reason=reason).inc()
-        return {"status": "rejected", "reason": reason}
-
-    def _cached_job(
-        self,
-        spec: SearchSpec,
-        key: str,
-        client: str,
-        priority: int,
-        report: Any,
-    ) -> Dict[str, Any]:
-        """A pre-completed job for a store hit: one ``cached`` event, no search."""
-        pinned = self._pin(spec)
-        job = Job(
-            f"job-{next(self._ids)}",
-            client=client,
-            kind="search",
-            payload=spec,
-            key=key,
-            priority=priority,
-            total_cells=1,
-        )
-        job.publish(RunEvent("cached", 0, 1, pinned, report=report, done=1).to_dict())
-        job.finish(JobState.COMPLETED)
-        with self._lock:
-            self._jobs[job.id] = job
-            self.stats["cached"] += 1
-        _SUBMISSIONS.labels(client=client, status="cached").inc()
-        return {"status": "cached", "job_id": job.id, "state": job.state.value, "key": key}
+        return {"status": "rejected", "reason": reason, **detail}
 
     def _pin(self, spec: SearchSpec) -> SearchSpec:
         """The spec as the batch layer would store it (engine cost model pinned)."""
@@ -379,7 +324,7 @@ class SearchService:
             stats = dict(self.stats)
             stats["running"] = self._running
             stats["inflight"] = len(self._inflight)
-        stats["queue_size"] = len(self._queue)
+            stats["queue_size"] = len(self._pending)
         stats["n_workers"] = self.config.n_workers
         return stats
 
@@ -399,48 +344,53 @@ class SearchService:
     def cancel(self, job_id: str) -> Optional[Dict[str, Any]]:
         """Cooperatively cancel a job; returns its snapshot (None if unknown).
 
-        A queued job turns terminal immediately; a running job stops at its
-        next cell boundary (the engine checks the flag before starting each
-        cell — a cell mid-search finishes first).
+        A queued job leaves the queue and turns terminal immediately; a
+        running job stops at its next cell boundary (the engine checks the
+        flag before starting each cell — a cell mid-search finishes first).
         """
-        job = self.job(job_id)
-        if job is None:
-            return None
-        self._cancel_job(job)
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None:
+                return None
+            self._cancel_job(job)
         return job.snapshot()
 
     def _cancel_job(self, job: Job) -> None:
+        """Cancel ``job``; the caller holds the lock."""
         job.cancel_event.set()
-        with self._lock:
-            if job.state is JobState.QUEUED:
-                job.finish(JobState.CANCELLED)
-                if self._inflight.get(job.key) == job.id:
-                    del self._inflight[job.key]
+        if job.state is JobState.QUEUED:
+            self._pending.remove(job)
+            del self._inflight[job.key]
+            _QUEUE_DEPTH.set(len(self._pending))
+            job.finish(JobState.CANCELLED)
+            self._changed.notify_all()
 
     # ------------------------------------------------------------------ #
     # Worker pool
     # ------------------------------------------------------------------ #
     def _worker(self) -> None:
-        while not self._exit.is_set():
-            job = self._queue.pop(timeout=_POLL_INTERVAL_S)
-            if job is None:
-                continue
-            if job.terminal:  # cancelled while queued; lazily dropped here
-                continue
-            with self._lock:
+        while True:
+            with self._changed:
+                self._changed.wait_for(lambda: self._pending or self._exit)
+                if self._exit:
+                    return
+                # Popped and marked running in one critical section, so a
+                # cancel sees the job either queued or running, never between.
+                job = self._pending.popleft()
+                _QUEUE_DEPTH.set(len(self._pending))
+                job.mark_running()
                 self._running += 1
                 self.stats["searches_started"] += 1
             try:
                 self._execute(job)
             finally:
-                with self._lock:
+                with self._changed:
                     self._running -= 1
-                    if self._inflight.get(job.key) == job.id:
-                        del self._inflight[job.key]
+                    del self._inflight[job.key]
+                    self._changed.notify_all()
 
     def _execute(self, job: Job) -> None:
         """Drive one job through the engine's streaming batch layer."""
-        job.mark_running()
         batch: Any = job.payload if job.kind == "sweep" else [job.payload]
         last_error: Optional[str] = None
         try:

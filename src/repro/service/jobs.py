@@ -70,7 +70,6 @@ class Job:
         kind: str,
         payload: Any,
         key: str,
-        priority: int = 0,
         total_cells: int = 1,
     ) -> None:
         self.id = job_id
@@ -80,7 +79,6 @@ class Job:
         self.payload = payload
         #: Content key used for dedup (spec/sweep hash under the store salt).
         self.key = key
-        self.priority = priority
         self.total_cells = total_cells
         #: Submissions coalesced onto this job (1 = just the original).
         self.attached = 1
@@ -187,7 +185,6 @@ class Job:
                 "client": self.client,
                 "kind": self.kind,
                 "state": self.state.value,
-                "priority": self.priority,
                 "key": self.key,
                 "attached": self.attached,
                 "cells": {"total": self.total_cells, "done": done, **self.counts},

@@ -5,6 +5,9 @@ over TCP or a unix socket with :mod:`socketserver`: one thread accepts, and
 each connection gets its own daemon thread that calls the threaded core
 directly, so the whole service runs on one concurrency model.
 
+* Every request is checked against the verb table of
+  :mod:`repro.service.protocol` before it reaches the service; a malformed
+  one is answered with one error line, and the connection stays usable.
 * Most verbs answer with one response line.
 * **subscribe** writes the events of :meth:`SearchService.subscribe` as they
   arrive; between events the connection's thread blocks on the job's
@@ -28,7 +31,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.obs import get_registry as _obs_registry
 from repro.service.core import SearchService
-from repro.service.protocol import VERBS, decode_line, encode_line, error_payload
+from repro.service.protocol import decode_line, encode_line, error_payload, parse_request
 
 __all__ = ["ServiceServer"]
 
@@ -143,63 +146,40 @@ class ServiceServer:
             pass  # client went away mid-stream; nothing to clean up
 
     def _dispatch(self, request: Dict[str, Any], send: Callable[[bytes], Any]) -> None:
-        op = request.get("op")
+        op, fields = parse_request(request)
         if op == "subscribe":
-            job_id = self._job_id(request)
-            replay = bool(request.get("replay", True))
-            for event in self.service.subscribe(job_id, replay=replay):
+            job_id = fields["job_id"]
+            for event in self.service.subscribe(job_id, replay=fields["replay"]):
                 send(encode_line({"ok": True, "event": event}))
             send(encode_line({"ok": True, "done": True, "job": self.service.status(job_id)}))
         elif op == "shutdown":
-            drain = bool(request.get("drain", True))
-            send(encode_line({"ok": True, "shutting_down": True, "drain": drain}))
-            self.service.shutdown(drain=drain)
+            send(encode_line({"ok": True, "shutting_down": True, "drain": fields["drain"]}))
+            self.service.shutdown(drain=fields["drain"])
             self.stop()
         else:
-            send(encode_line({"ok": True, **self._reply(op, request)}))
+            send(encode_line({"ok": True, **self._reply(op, fields)}))
 
-    def _reply(self, op: Any, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _reply(self, op: str, fields: Dict[str, Any]) -> Dict[str, Any]:
         """The response of a one-line verb, without its ``ok``."""
         if op == "ping":
             return {"pong": True}
         if op == "submit":
-            payload = request.get("spec") if "spec" in request else request.get("sweep")
-            if payload is None:
-                raise ValueError("submit needs a 'spec' or 'sweep' document")
-            return self.service.submit(
-                payload,
-                client=str(request.get("client", "anon")),
-                priority=int(request.get("priority", 0)),
-            )
-        if op in ("status", "cancel"):
-            job_id = self._job_id(request)
-            if op == "status":
-                snapshot = self.service.status(job_id)
-            else:
-                snapshot = self.service.cancel(job_id)
-            if snapshot is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            return {"job": snapshot}
+            payload = fields["spec"] if fields["spec"] is not None else fields["sweep"]
+            return self.service.submit(payload, client=fields["client"])
         if op == "jobs":
             return {"jobs": self.service.jobs(), "stats": self.service.service_stats()}
         if op == "metrics":
-            fmt = request.get("format", "json")
-            if fmt == "prometheus":
+            if fields["format"] == "prometheus":
                 return {"text": _obs_registry().render_prometheus()}
-            if fmt == "json":
-                return {
-                    "metrics": _obs_registry().snapshot(),
-                    "service": self.service.service_stats(),
-                }
-            raise ValueError(f"unknown metrics format {fmt!r}; use 'json' or 'prometheus'")
-        raise ValueError(f"unknown op {op!r}; known ops: {', '.join(VERBS)}")
-
-    @staticmethod
-    def _job_id(request: Dict[str, Any]) -> str:
-        job_id = request.get("job_id")
-        if not isinstance(job_id, str) or not job_id:
-            raise ValueError(f"{request.get('op')} needs a 'job_id' string")
-        return job_id
+            return {"metrics": _obs_registry().snapshot(), "service": self.service.service_stats()}
+        job_id = fields["job_id"]  # status or cancel
+        if op == "status":
+            snapshot = self.service.status(job_id)
+        else:
+            snapshot = self.service.cancel(job_id)
+        if snapshot is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        return {"job": snapshot}
 
 
 def _remove_socket_file(path: str) -> None:

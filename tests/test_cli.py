@@ -39,6 +39,10 @@ class TestParser:
             ["run", "--workers", "2"],
             ["submit", "--connect", "unix:s", "--workers", "2"],
             ["sweep", "--spec", "{}", "--processes", "2", "--chunk-size", "2"],
+            # Jobs run in submission order, with no rate limit or priority.
+            ["serve", "--rate", "2.5"],
+            ["serve", "--burst", "4"],
+            ["submit", "--connect", "unix:s", "--priority", "1"],
             # `repro paper` regenerates every table and figure.
             *([name] for name in ("table1", "table2", "table3", "table4", "table5", "table6")),
             ["figures2-5"],
@@ -175,6 +179,10 @@ class TestRunCommand:
         assert main(["run", "--workload", "leftmove", "--param", "noequals"]) == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    def test_run_rejects_a_spec_value_of_the_wrong_type(self, capsys):
+        assert main(["run", "--spec", '{"level": "x"}']) == 2
+        assert "error: malformed SearchSpec" in capsys.readouterr().err
+
 
 class TestListCommand:
     def test_list_enumerates_registries(self, capsys):
@@ -290,13 +298,13 @@ class TestJsonOutput:
 # The exact --json schemas of the service commands; downstream tooling keys
 # off these, so additions are fine but renames/removals must be deliberate.
 JOB_SNAPSHOT_KEYS = {
-    "id", "client", "kind", "state", "priority", "key", "attached",
+    "id", "client", "kind", "state", "key", "attached",
     "cells", "submitted_at", "started_at", "finished_at",
     "queue_wait_seconds", "wall_seconds", "error",
 }
 CELLS_KEYS = {"total", "done", "cached", "completed", "failed"}
 STATS_KEYS = {
-    "submitted", "queued", "cached", "attached", "rejected_rate_limited",
+    "submitted", "queued", "cached", "attached",
     "rejected_queue_full", "rejected_shutting_down", "searches_started",
     "running", "inflight", "queue_size", "n_workers",
 }
@@ -322,7 +330,7 @@ class TestServiceCommands:
     def test_service_commands_parse(self):
         parser = build_parser()
         for argv in (
-            ["serve", "--port", "0", "--workers", "4", "--rate", "2.5"],
+            ["serve", "--port", "0", "--workers", "4", "--queue-depth", "8"],
             ["serve", "--socket", "/tmp/x.sock", "--store", "results"],
             ["submit", "--connect", ":7171", "--workload", "leftmove", "--json"],
             ["submit", "--connect", ":7171", "--sweep", "doc.json", "--no-wait"],

@@ -1,54 +1,63 @@
 """Tests for repro.service — the search-as-a-service job server.
 
-The suites cover the threaded core directly (queue, rate limiter, service
-lifecycle, both dedup levels, cancellation, shutdown draining) and the
-socket transport + client end to end (TCP and unix socket), including the
-acceptance proof that two identical concurrent submissions execute exactly
-one search and a completed submission re-serves from the store with zero
-searches.
+The suites cover the threaded core directly (FIFO order, service lifecycle,
+both dedup levels, cancellation, shutdown draining), the request table of
+the wire protocol, and the socket transport + client end to end (TCP and
+unix socket), including the acceptance proof that two identical concurrent
+submissions execute exactly one search, a completed submission re-serves
+from the store with zero searches, and every request line — malformed ones
+included — gets exactly one answer on a connection that stays usable.
 """
 
+import math
 import socket
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ALGORITHMS, Engine, SearchSpec, register_algorithm
 from repro.core.sample import sample
 from repro.lab import ResultStore, SweepSpec
 from repro.service import (
-    ClientRateLimiter,
     Job,
-    JobQueue,
     JobState,
-    QueueFull,
     SearchService,
     ServiceClient,
     ServiceConfig,
     ServiceError,
     ServiceServer,
-    TokenBucket,
 )
-from repro.service.protocol import decode_line, encode_line, parse_address
+from repro.service.protocol import (
+    REQUESTS,
+    decode_line,
+    encode_line,
+    parse_address,
+    parse_request,
+)
 
 
 class _Recorder:
     """A registrable algorithm that counts calls and can block on a gate.
 
     ``started`` is set when a call begins; the call then waits on ``gate``
-    (pre-set by default, so unblocked unless a test clears it).
+    (pre-set by default, so unblocked unless a test clears it).  ``seeds``
+    records each call's spec seed, in call order.
     """
 
     def __init__(self):
         self.calls = []
+        self.seeds = []
         self.started = threading.Event()
         self.gate = threading.Event()
         self.gate.set()
 
     def __call__(self, state, level, seeds, counter, budget, params):
         self.calls.append(threading.get_ident())
+        self.seeds.append(seeds.master_seed)
         self.started.set()
         assert self.gate.wait(timeout=30), "test gate never released"
         return sample(state, seeds=seeds, counter=counter)
@@ -71,72 +80,6 @@ PROBE = SearchSpec(workload="leftmove", algorithm="svc-probe", level=0, seed=7)
 def _drain(service, job_id):
     """Follow a job to the end in-process; returns its event list."""
     return list(service.subscribe(job_id))
-
-
-# --------------------------------------------------------------------- #
-# JobQueue: priorities, fairness, backpressure
-# --------------------------------------------------------------------- #
-class _FakeJob:
-    def __init__(self, client, priority=0, tag=""):
-        self.client = client
-        self.priority = priority
-        self.tag = tag
-
-
-class TestJobQueue:
-    def test_priority_order_within_one_client(self):
-        q = JobQueue(maxsize=8)
-        q.push(_FakeJob("a", priority=5, tag="low"))
-        q.push(_FakeJob("a", priority=0, tag="high"))
-        q.push(_FakeJob("a", priority=0, tag="high2"))
-        assert [q.pop(0).tag for _ in range(3)] == ["high", "high2", "low"]
-
-    def test_round_robin_across_clients(self):
-        q = JobQueue(maxsize=8)
-        for tag in ("a1", "a2", "a3"):
-            q.push(_FakeJob("a", tag=tag))
-        q.push(_FakeJob("b", tag="b1"))
-        # Client b's single job must not starve behind a's backlog.
-        order = [q.pop(0).tag for _ in range(4)]
-        assert order.index("b1") < 2
-        assert [t for t in order if t.startswith("a")] == ["a1", "a2", "a3"]
-
-    def test_bounded_depth_rejects(self):
-        q = JobQueue(maxsize=2)
-        q.push(_FakeJob("a"))
-        q.push(_FakeJob("b"))
-        with pytest.raises(QueueFull):
-            q.push(_FakeJob("c"))
-        assert len(q) == 2
-
-    def test_pop_timeout_returns_none(self):
-        assert JobQueue(maxsize=1).pop(timeout=0.01) is None
-
-
-# --------------------------------------------------------------------- #
-# Rate limiting
-# --------------------------------------------------------------------- #
-class TestRateLimiting:
-    def test_token_bucket_burst_and_refill(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=1.0, burst=2.0, clock=lambda: now[0])
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()  # burst exhausted
-        now[0] += 1.0
-        assert bucket.try_acquire()  # one token refilled
-        assert not bucket.try_acquire()
-
-    def test_limiter_is_per_client(self):
-        now = [0.0]
-        limiter = ClientRateLimiter(rate=1.0, burst=1.0, clock=lambda: now[0])
-        assert limiter.allow("alice")
-        assert not limiter.allow("alice")
-        assert limiter.allow("bob")  # separate bucket
-
-    def test_none_rate_disables(self):
-        limiter = ClientRateLimiter(rate=None, burst=None)
-        assert all(limiter.allow("anyone") for _ in range(100))
 
 
 # --------------------------------------------------------------------- #
@@ -228,21 +171,6 @@ class TestServiceLifecycle:
         assert service.status(again["job_id"])["state"] == "completed"
         assert service.service_stats()["searches_started"] == 1
 
-    def test_rate_limited_submission_rejected(self):
-        now = [0.0]
-        service = SearchService(  # never started: nothing should execute
-            config=ServiceConfig(rate=1.0, burst=2.0),
-            clock=lambda: now[0],
-        )
-        acks = [service.submit(PROBE.replace(seed=i), client="hot") for i in range(3)]
-        assert [a["status"] for a in acks] == ["queued", "queued", "rejected"]
-        assert acks[2]["reason"] == "rate_limited"
-        # An unrelated client is not penalised, and time refills the bucket.
-        assert service.submit(PROBE.replace(seed=9), client="cold")["status"] == "queued"
-        now[0] += 1.0
-        assert service.submit(PROBE.replace(seed=3), client="hot")["status"] == "queued"
-        assert service.service_stats()["rejected_rate_limited"] == 1
-
     def test_full_queue_rejected_with_backpressure(self):
         service = SearchService(config=ServiceConfig(queue_depth=2))
         assert service.submit(PROBE.replace(seed=0))["status"] == "queued"
@@ -254,12 +182,69 @@ class TestServiceLifecycle:
         assert service.service_stats()["rejected_queue_full"] == 1
 
     def test_cancel_queued_job_is_immediate(self):
-        service = SearchService()  # no workers: the job stays queued
+        # No workers: the job stays queued, in the queue's only slot.
+        service = SearchService(config=ServiceConfig(queue_depth=1))
         ack = service.submit(PROBE)
         snapshot = service.cancel(ack["job_id"])
         assert snapshot["state"] == "cancelled"
-        # The key is freed: an identical submission makes a fresh job.
+        # The job left the queue, freeing its slot and its key: an identical
+        # submission makes a fresh job.
+        assert service.service_stats()["queue_size"] == 0
         assert service.submit(PROBE)["status"] == "queued"
+
+    def test_a_cancel_never_lands_between_a_pop_and_the_start(
+        self, recorder, monkeypatch
+    ):
+        """The worker takes a job off the queue and marks it running in one
+        critical section.  A cancel sent while the worker is in there waits
+        for it, finds the job running and stops it at its cell boundary, so
+        the job turns terminal once (a cancel that did not wait would finish
+        the queued job, which the worker would then start and finish again)."""
+        recorder.gate.clear()
+        in_window, cancelled = threading.Event(), threading.Event()
+        mark_running, finish = Job.mark_running, Job.finish
+        terminal_transitions = []
+
+        def slow_mark_running(job):
+            in_window.set()
+            cancelled.wait(0.3)  # room for a cancel that does not wait
+            mark_running(job)
+
+        def recorded_finish(job, state, error=None):
+            if not job.terminal:
+                terminal_transitions.append(state)
+            finish(job, state, error)
+
+        monkeypatch.setattr(Job, "mark_running", slow_mark_running)
+        monkeypatch.setattr(Job, "finish", recorded_finish)
+        with SearchService(config=ServiceConfig(n_workers=1)) as service:
+            job_id = service.submit(PROBE)["job_id"]
+            assert in_window.wait(10)
+            canceller = threading.Thread(
+                target=lambda: (service.cancel(job_id), cancelled.set()), daemon=True
+            )
+            canceller.start()
+            canceller.join(timeout=10)
+            assert not canceller.is_alive()
+            recorder.gate.set()
+            _drain(service, job_id)
+        assert service.status(job_id)["state"] == "cancelled"
+        assert terminal_transitions == [JobState.CANCELLED]
+
+    def test_jobs_run_in_submission_order_across_clients(self, recorder):
+        """One FIFO: jobs A and C of client x, then B of client y, run A, C, B."""
+        recorder.gate.clear()
+        with SearchService(config=ServiceConfig(n_workers=1)) as service:
+            parked = service.submit(PROBE, client="z")  # holds the one worker
+            assert recorder.started.wait(10)
+            acks = [
+                service.submit(PROBE.replace(seed=seed), client=client)
+                for seed, client in ((1, "x"), (3, "x"), (2, "y"))
+            ]
+            recorder.gate.set()
+            for ack in (parked, *acks):
+                _drain(service, ack["job_id"])
+        assert recorder.seeds == [PROBE.seed, 1, 3, 2]
 
     def test_cancel_running_sweep_stops_at_cell_boundary(self, recorder):
         recorder.gate.clear()
@@ -346,6 +331,28 @@ class TestProtocol:
             decode_line(b"not json\n")
         with pytest.raises(ValueError, match="JSON object"):
             decode_line(b"[1,2]\n")
+
+    def test_request_table_defaults_and_rules(self):
+        assert parse_request({"op": "subscribe", "job_id": "job-1"}) == (
+            "subscribe", {"job_id": "job-1", "replay": True},
+        )
+        op, fields = parse_request({"op": "submit", "spec": {"workload": "leftmove"}})
+        assert op == "submit" and fields["client"] == "anon" and fields["sweep"] is None
+        assert fields["spec"] == SearchSpec(workload="leftmove")
+        for request, message in (
+            ({"op": "frobnicate"}, "unknown op 'frobnicate'"),
+            ({"op": ["ping"]}, "unknown op"),
+            ({"op": "ping", "extra": 1}, "ping: unknown fields extra"),
+            ({"op": "status"}, "status needs a 'job_id' field"),
+            ({"op": "cancel", "job_id": 7}, "cancel.job_id: must be a string"),
+            ({"op": "subscribe", "job_id": "j", "replay": 1}, "subscribe.replay: must be"),
+            ({"op": "submit"}, "exactly one of 'spec' or 'sweep'"),
+            ({"op": "submit", "spec": {}, "sweep": {}}, "exactly one of 'spec' or 'sweep'"),
+            ({"op": "submit", "spec": None}, "submit.spec: a SearchSpec document must be"),
+            ({"op": "submit", "sweep": {"repeats": math.inf}}, "submit.sweep: malformed SweepSpec"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_request(request)
 
     def test_parse_address_forms(self):
         assert parse_address("unix:/tmp/x.sock") == ("unix", "/tmp/x.sock")
@@ -462,17 +469,21 @@ class TestTransport:
         assert len(outcome["reports"]) == 3
         assert seen.count("completed") == 3
 
-    def test_rejected_ack_is_returned_not_raised(self, tmp_path):
-        service = SearchService(config=ServiceConfig(rate=0.001, burst=1.0))
+    def test_rejected_ack_is_returned_not_raised(self, recorder):
+        recorder.gate.clear()
+        service = SearchService(config=ServiceConfig(n_workers=1, queue_depth=1))
         server = ServiceServer(service, port=0)
         client = ServiceClient(server.start())
         try:
             assert client.submit(PROBE)["status"] == "queued"
-            rejected = client.submit(PROBE.replace(seed=1))
-            assert rejected == {"status": "rejected", "reason": "rate_limited"}
-            with pytest.raises(ServiceError, match="rate_limited"):
-                client.run(PROBE.replace(seed=2))
+            assert recorder.started.wait(10)  # the one worker is parked
+            assert client.submit(PROBE.replace(seed=1))["status"] == "queued"
+            rejected = client.submit(PROBE.replace(seed=2))
+            assert rejected == {"status": "rejected", "reason": "queue_full", "queue_depth": 1}
+            with pytest.raises(ServiceError, match="queue_full"):
+                client.run(PROBE.replace(seed=3))
         finally:
+            recorder.gate.set()
             service.shutdown(drain=False, timeout=5)
             server.stop()
 
@@ -598,3 +609,128 @@ class TestTransport:
             for thread in threads:
                 thread.join(timeout=30)
         assert not any(thread.is_alive() for thread in threads)
+
+
+# --------------------------------------------------------------------- #
+# Malformed requests: one error line each, on a connection that stays usable
+# --------------------------------------------------------------------- #
+def _exchange(target, line):
+    """Send one raw request line, then a ping, on one connection; returns
+    the first answer line decoded and whether the next one is the pong."""
+    with socket.create_connection(target, timeout=5) as sock:
+        with sock.makefile("rb") as reader:
+            sock.sendall(line)
+            answer = decode_line(reader.readline())
+            sock.sendall(encode_line({"op": "ping"}))
+            pong = decode_line(reader.readline())
+    return answer, pong == {"ok": True, "pong": True}
+
+
+#: Requests whose handling once raised out of the connection thread: no
+#: answer line, a traceback on the server's stderr, a dropped connection.
+MALFORMED = {
+    "priority-null": {"op": "submit", "spec": {"workload": "leftmove"}, "priority": None},
+    "priority-list": {"op": "submit", "spec": {"workload": "leftmove"}, "priority": [1]},
+    "spec-level-string": {"op": "submit", "spec": {"level": "x"}},
+    "spec-n_clients-null": {"op": "submit", "spec": {"n_clients": None}},
+    "spec-params-list": {"op": "submit", "spec": {"params": [1]}},
+    "sweep-axes-number": {"op": "submit", "sweep": {"axes": 5}},
+    "sweep-base-number": {"op": "submit", "sweep": {"base": 5}},
+}
+
+
+@pytest.mark.parametrize("malformed", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_a_malformed_request_gets_one_error_line(served, capsys, malformed):
+    client, _ = served
+    _, target = parse_address(client.address)
+    answer, ponged = _exchange(target, encode_line(malformed))
+    assert answer["ok"] is False and isinstance(answer["error"], str)
+    assert ponged
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: (
+        st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3)
+    ),
+    max_leaves=6,
+)
+_SPEC_FIELDS = st.sampled_from(sorted(SearchSpec.__dataclass_fields__))
+#: Documents with real SearchSpec field names and arbitrary values.
+_SPEC_DOCS = st.dictionaries(_SPEC_FIELDS, _JSON, min_size=1, max_size=3)
+#: Sweep axes over real field names, with arbitrary values.
+_AXES = st.dictionaries(_SPEC_FIELDS, st.lists(_JSON, min_size=1, max_size=3), max_size=2)
+#: Any repeat count but a large finite one: SweepSpec validates a sweep by
+#: expanding every cell, which for a large count holds the connection for
+#: minutes.
+_REPEATS = _JSON.filter(lambda v: not (isinstance(v, (int, float)) and 100 < v < math.inf))
+_FIELD_VALUES = {
+    "spec": _SPEC_DOCS | _JSON,
+    "sweep": st.fixed_dictionaries(
+        {},
+        optional={
+            "base": _SPEC_DOCS | _JSON, "axes": _AXES | _JSON, "name": _JSON, "repeats": _REPEATS,
+        },
+    ) | _JSON,
+    # No real job id: subscribing to a queued job would wait for it forever.
+    "job_id": _JSON.filter(lambda v: not (isinstance(v, str) and v.startswith("job-"))),
+    # A well-formed shutdown would stop the server under test.
+    "drain": _JSON.filter(lambda v: not isinstance(v, bool)),
+}
+
+
+def _request(op, *required):
+    """Requests of verb ``op``: the ``required`` fields and any subset of
+    the others, each holding arbitrary JSON or, for ``spec`` and ``sweep``,
+    a document with real keys."""
+    fields = {name: _FIELD_VALUES.get(name, _JSON) for name in REQUESTS[op]}
+    return st.fixed_dictionaries(
+        {"op": st.just(op), **{name: fields.pop(name) for name in required}},
+        optional=fields,
+    )
+
+
+_REQUESTS = st.one_of(
+    _request("submit", "spec"),
+    _request("submit", "sweep"),
+    _request("shutdown", "drain"),
+    *(_request(op) for op in REQUESTS if op != "shutdown"),
+)
+_LINES = (
+    _REQUESTS.map(encode_line)
+    | _REQUESTS.map(lambda request: encode_line({**request, "unknown_field": 0}))
+    | st.fixed_dictionaries({"op": _JSON}).map(encode_line)
+    | st.text(max_size=12).map(lambda text: text.encode("utf-8") + b"\n")
+    | st.binary(max_size=12).map(lambda data: data + b"\n")
+).filter(lambda line: line.count(b"\n") == 1 and line.strip())
+
+
+def test_every_request_line_gets_exactly_one_answer(recorder, capsys):
+    """Arbitrary JSON in every field of every verb, junk text and bytes that
+    are not UTF-8: each line is answered once, on a connection that then
+    answers a ping, and nothing raises in the server.  The one worker is
+    parked on a gated job, so no submission runs a search."""
+    recorder.gate.clear()
+    service = SearchService(config=ServiceConfig(n_workers=1))
+    server = ServiceServer(service, port=0)
+    _, target = parse_address(server.start())
+    try:
+        service.submit(PROBE)
+        assert recorder.started.wait(10)
+
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @given(line=_LINES)
+        def exchange(line):
+            answer, ponged = _exchange(target, line)
+            assert isinstance(answer["ok"], bool) and ponged
+
+        exchange()
+        assert service.service_stats()["searches_started"] == 1
+    finally:
+        for job in service.jobs():
+            service.cancel(job["id"])
+        recorder.gate.set()
+        service.shutdown(drain=False, timeout=5)
+        server.stop()
+    assert "Traceback" not in capsys.readouterr().err
