@@ -26,8 +26,11 @@ from pathlib import Path
 import pytest
 
 from conftest import write_result
-from repro.api import Engine, SearchSpec
 from repro.cluster.network import NetworkModel
+from repro.cluster.topology import single_machine
+from repro.parallel.config import DispatcherKind, ParallelConfig
+from repro.parallel.driver import run_parallel_nmcs
+from repro.workloads import get_workload
 
 #: Latency ~1000x the mean demo job duration: the pathological ratio.
 STRESS_LATENCY_S = 0.5
@@ -41,17 +44,19 @@ TRAJECTORY = Path(__file__).parent / "results" / "BENCH_kernel_stress.json"
 
 def run_stress(n_clients: int):
     """One pathological cell: oversubscribed single node, huge latency."""
-    engine = Engine(network=NetworkModel(latency_s=STRESS_LATENCY_S))
-    spec = SearchSpec(
-        workload="leftmove",
-        backend="sim-cluster",
-        dispatcher="lm",
-        cluster="single",
-        n_clients=n_clients,
+    workload = get_workload("leftmove")
+    config = ParallelConfig(
+        level=workload.low_level,
+        dispatcher=DispatcherKind.LAST_MINUTE,
         n_medians=8,
-        max_steps=1,
+        max_root_steps=1,
     )
-    return engine.run(spec)
+    return run_parallel_nmcs(
+        workload.state(),
+        config,
+        single_machine(n_clients),
+        network=NetworkModel(latency_s=STRESS_LATENCY_S),
+    )
 
 
 def append_trajectory_entry(entry: dict) -> None:
@@ -70,17 +75,17 @@ def test_kernel_stress_event_storm(benchmark, results_dir):
     by_clients = {}
     for n in CLIENT_COUNTS:
         t0 = time.perf_counter()
-        report = run_stress(n)
+        run = run_stress(n)
         cell_wall = time.perf_counter() - t0
-        stats = report.kernel_stats
-        assert stats is not None
+        assert run.kernel_stats is not None
+        stats = run.kernel_stats.to_dict()
         by_clients[n] = {
             "wall_seconds": round(cell_wall, 4),
             "events_fired": stats["events_fired"],
             "events_cancelled": stats["events_cancelled"],
             "peak_queue_size": stats["peak_queue_size"],
             "simulated_seconds": stats["simulated_seconds"],
-            "score": report.score,
+            "score": run.score,
         }
     sweep_wall = time.perf_counter() - wall_start
 

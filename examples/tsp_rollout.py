@@ -14,12 +14,13 @@ from __future__ import annotations
 import time
 
 from repro import (
-    Engine,
-    SearchSpec,
+    ParallelConfig,
     SeedSequence,
     TSPInstance,
     TSPState,
+    homogeneous_cluster,
     nmcs,
+    run_parallel_nmcs,
     sample,
 )
 
@@ -44,12 +45,11 @@ def main() -> None:
             f"({time.perf_counter() - start:.1f}s, {result.work.playouts} rollouts)"
         )
 
-    # The same level-2 search on the simulated cluster: only the backend field
-    # of the spec changes (see repro.api / docs/API.md).
-    engine = Engine()
-    spec = SearchSpec(workload="tsp", algorithm="nmcs", level=2, seed=0)
-    cluster_run = engine.run(
-        spec.replace(backend="sim-cluster", dispatcher="rr", n_clients=8), state=state.copy()
+    # The same level-2 search on the simulated cluster.  This instance is not
+    # a named workload, so it runs through the parallel kernel directly, as
+    # the nmcs and sample lines above call theirs (see docs/API.md).
+    cluster_run = run_parallel_nmcs(
+        state.copy(), ParallelConfig(level=2, master_seed=0), homogeneous_cluster(8)
     )
     print(
         f"parallel NMCS level 2 (8 simulated clients): {-cluster_run.score:8.1f} "

@@ -52,7 +52,9 @@ True
 True
 
 The kernels under the API (``nmcs``, ``run_parallel_nmcs``) remain
-importable for callers that need them.
+importable: a position, job executor or network model of your own runs
+through them, since an :class:`Engine` result is a function of the spec and
+the engine's cost model.
 """
 
 from repro.api import (

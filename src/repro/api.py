@@ -64,7 +64,6 @@ from typing import (
     Union,
 )
 
-from repro.cluster.network import NetworkModel
 from repro.cluster.topology import (
     ClusterSpec,
     heterogeneous_cluster,
@@ -89,7 +88,7 @@ from repro.obs import span as _obs_span
 from repro.obs import enabled as _obs_enabled
 from repro.prng import SeedSequence
 from repro.timemodel.cost import CostModel
-from repro.workloads import Workload, get_workload
+from repro.workloads import get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - lab imports api; annotations only here
     from repro.lab.store import ResultStore
@@ -172,10 +171,10 @@ class SearchSpec:
     Attributes
     ----------
     workload:
-        Named workload (see :mod:`repro.workloads`).  Looked up lazily: the
-        name is only resolved when the engine actually needs a state or a
-        default level, so specs for programmatically supplied states may carry
-        any label.
+        Named workload (see :mod:`repro.workloads`).  Every run resolves it
+        and starts from its initial position; a position of your own runs
+        through the kernels (:func:`repro.core.nested.nested_search`,
+        :func:`repro.parallel.driver.run_parallel_nmcs`) instead.
     algorithm / backend:
         Registry names (see :func:`list_algorithms` / :func:`list_backends`).
     level:
@@ -198,13 +197,14 @@ class SearchSpec:
         Simulated cluster sizing.
     freq_ghz / units_per_ghz:
         Cost-model parameters mapping work units to simulated seconds.
-    memorize_best_sequence:
-        Keep the globally best sequence at root/median level (paper
-        pseudo-code ablation switch).
     params:
         Algorithm-specific extras (e.g. ``{"iterations": 4}`` for NRPA,
         ``{"restarts": 8}`` for iterated NMCS, ``{"lm_fifo_jobs": true}`` for
         the Last-Minute FIFO ablation).
+
+    ``level``, ``seed``, ``max_steps``, ``n_clients`` and ``n_medians`` take
+    integers only (not ``bool``): ``max_steps=1.5`` would otherwise play two
+    root moves under a key of its own.
     """
 
     workload: str = "morpion-small"
@@ -219,13 +219,18 @@ class SearchSpec:
     n_medians: int = 40
     freq_ghz: float = 1.86
     units_per_ghz: Optional[float] = None
-    memorize_best_sequence: bool = True
     params: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         # A read-only view keeps the frozen contract honest (no mutation via
         # spec.params) and excluding it from __hash__ keeps specs hashable.
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        for name in ("level", "seed", "max_steps", "n_clients", "n_medians"):
+            value = getattr(self, name)
+            if value is None and name in ("level", "max_steps"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"malformed SearchSpec: {name} must be an integer, got {value!r}")
         if self.level is not None and self.level < 0:
             raise ValueError("level must be >= 0 when given")
         if self.max_steps is not None and self.max_steps < 1:
@@ -441,7 +446,6 @@ class BackendEntry:
     fn: Callable[..., RunReport]
     description: str = ""
     algorithms: Optional[Tuple[str, ...]] = None
-    needs_cluster: bool = False
     params: Optional[Tuple[str, ...]] = ()
 
     def supports(self, algorithm: str) -> bool:
@@ -489,7 +493,6 @@ def register_backend(
     *,
     description: str = "",
     algorithms: Optional[Iterable[str]] = None,
-    needs_cluster: bool = False,
     params: Optional[Iterable[str]] = (),
 ) -> Callable[[Callable[..., RunReport]], Callable[..., RunReport]]:
     """Register the decorated function as the execution backend named ``name``."""
@@ -502,7 +505,6 @@ def register_backend(
             fn=fn,
             description=description,
             algorithms=None if algorithms is None else tuple(algorithms),
-            needs_cluster=needs_cluster,
             params=None if params is None else tuple(params),
         )
         return fn
@@ -601,8 +603,6 @@ class RunContext:
     level: int
     executor: JobExecutor
     cost_model: CostModel
-    network: Optional[NetworkModel] = None
-    cluster: Optional[ClusterSpec] = None
 
 
 @dataclass(frozen=True)
@@ -679,52 +679,35 @@ BatchInput = Union["SweepSpec", Iterable[Union[SearchSpec, Mapping[str, Any]]]]
 class Engine:
     """Executes :class:`SearchSpec` scenarios; shares caches across runs.
 
-    By default every ``sim-cluster`` run shares one :class:`CachingJobExecutor`
-    *per workload name*, so a sweep over client counts or dispatchers executes
-    each search job exactly once while runs of different workloads can never
-    alias each other's cache entries (job cache keys are seed paths, which
-    repeat across workloads).  Passing ``executor`` disables that partitioning
-    and uses the given executor for every run — only do this when all runs
-    share one workload.  Callers that pass an explicit ``state`` to
-    :meth:`run` must keep ``spec.workload`` an accurate label for it, since
-    the label selects the cache partition.
+    A run's result is a function of its spec and the engine's cost model:
+    every run starts from its workload's initial position, and every
+    ``sim-cluster`` run of one workload shares that workload's
+    :class:`CachingJobExecutor`, so a sweep over client counts or
+    dispatchers executes each search job exactly once, while runs of
+    different workloads never see each other's entries (job cache keys are
+    seed paths, which repeat across workloads).
 
-    ``cost_model`` and ``network`` override the simulation defaults for all
-    runs; a spec's ``units_per_ghz`` overrides the engine cost model for that
-    run.
+    ``cost_model`` overrides the default cost model for all runs; a spec's
+    ``units_per_ghz`` overrides it for that run.  A position, job executor
+    or :class:`~repro.cluster.network.NetworkModel` of your own runs through
+    the kernels: ``run_parallel_nmcs(state, config, cluster, executor=...,
+    network=...)`` (:mod:`repro.parallel.driver`) or the searches of
+    :mod:`repro.core`.
     """
 
-    def __init__(
-        self,
-        executor: Optional[JobExecutor] = None,
-        cost_model: Optional[CostModel] = None,
-        network: Optional[NetworkModel] = None,
-    ) -> None:
-        self.executor = executor
+    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
         self.cost_model = cost_model
-        self.network = network
         self._workload_executors: Dict[str, JobExecutor] = {}
 
     def _executor_for(self, workload_name: str) -> JobExecutor:
-        if self.executor is not None:
-            return self.executor
         cached = self._workload_executors.get(workload_name)
         if cached is None:
             cached = CachingJobExecutor()
             self._workload_executors[workload_name] = cached
         return cached
 
-    def run(
-        self,
-        spec: "SearchSpec | Mapping[str, Any]",
-        *,
-        state: Optional[GameState] = None,
-    ) -> RunReport:
-        """Execute one scenario and return its :class:`RunReport`.
-
-        ``state`` overrides the spec's workload factory for programmatic
-        callers.
-        """
+    def run(self, spec: "SearchSpec | Mapping[str, Any]") -> RunReport:
+        """Execute one scenario from its workload's initial position."""
         if isinstance(spec, Mapping):
             spec = SearchSpec.from_dict(spec)
         algorithm = _algorithm(spec.algorithm)
@@ -741,24 +724,16 @@ class Engine:
                 "leave max_steps unset (it would be silently ignored otherwise)"
             )
         _validate_params(spec, algorithm, backend)
-        level = spec.level
-        if state is None or level is None:
-            workload = get_workload(spec.workload)
-            if state is None:
-                state = workload.state()
-            if level is None:
-                level = workload.low_level
+        workload = get_workload(spec.workload)
         if spec.units_per_ghz is not None:
             cost_model = CostModel(units_per_ghz_per_second=spec.units_per_ghz)
         else:
             cost_model = self.cost_model if self.cost_model is not None else CostModel()
         ctx = RunContext(
-            state=state,
-            level=level,
+            state=workload.state(),
+            level=workload.low_level if spec.level is None else spec.level,
             executor=self._executor_for(spec.workload),
             cost_model=cost_model,
-            network=self.network,
-            cluster=build_cluster(spec) if backend.needs_cluster else None,
         )
         with _obs_span(
             "engine.run",
@@ -810,20 +785,6 @@ class Engine:
         if spec.units_per_ghz is None and self.cost_model is not None:
             return spec.replace(units_per_ghz=self.cost_model.units_per_ghz_per_second)
         return spec
-
-    def _store_for(self, store: Optional["ResultStore"]) -> Optional["ResultStore"]:
-        """The store view batched runs should use under this engine.
-
-        An engine-level :class:`NetworkModel` changes what a spec evaluates
-        to without being a spec field, so its content fingerprint is folded
-        into the store salt — results simulated under different networks
-        never alias each other's records.
-        """
-        if store is None or self.network is None:
-            return store
-        from repro.lab.store import ResultStore
-
-        return ResultStore(store.root, salt=f"{store.salt}|network={self.network!r}")
 
     def stream(
         self,
@@ -878,10 +839,7 @@ class Engine:
             holds the pool (one batch at a time) until it ends, so starting
             another process stream from inside its consumer loop deadlocks.
             A cell the pool skips without a cancel (the pool was closed
-            under the batch) fails with ``RuntimeError``.  An engine
-            constructed with a custom ``executor=``
-            :class:`~repro.parallel.jobs.JobExecutor` cannot use the process
-            executor (executors don't cross processes).
+            under the batch) fails with ``RuntimeError``.
         cancel:
             A :class:`threading.Event` or zero-argument callable; when set,
             no further cell starts (cells already running finish and their
@@ -904,11 +862,6 @@ class Engine:
             )
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1 when given")
-        if executor == "process" and self.executor is not None:
-            raise ValueError(
-                "executor='process' cannot ship a custom JobExecutor to worker "
-                "processes; use the default per-workload executors or executor='inline'"
-            )
         if cancel is None:
             cancelled = lambda: False  # noqa: E731 - tiny local predicate
         elif isinstance(cancel, threading.Event):
@@ -917,7 +870,6 @@ class Engine:
             cancelled = cancel
         batch = [self._storable_spec(spec) for spec in self._expand_batch(specs)]
         total = len(batch)
-        store = self._store_for(store)
         done = 0
         pending: List[Tuple[int, SearchSpec]] = []
         for index, spec in enumerate(batch):
@@ -937,7 +889,7 @@ class Engine:
         if executor == "process":
             from repro.lab.procpool import run_batch
 
-            cells = run_batch(pending, stop, max_workers, self.network)
+            cells = run_batch(pending, stop, max_workers)
         else:
             cells = self._inline_cells(pending, stop)
         try:
@@ -1132,7 +1084,6 @@ def _backend_sequential(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCon
     "sim-cluster",
     description="paper's root/median/dispatcher/client architecture on the discrete-event kernel",
     algorithms=("nmcs",),
-    needs_cluster=True,
     params=("lm_fifo_jobs",),
 )
 def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunContext) -> RunReport:
@@ -1144,13 +1095,11 @@ def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCo
         n_medians=spec.n_medians,
         max_root_steps=spec.max_steps,
         master_seed=spec.seed,
-        memorize_best_sequence=spec.memorize_best_sequence,
         lm_fifo_jobs=bool(spec.params.get("lm_fifo_jobs", False)),
     )
+    cluster = build_cluster(spec)
     start = time.perf_counter()
-    run = run_parallel_nmcs(
-        ctx.state, config, ctx.cluster, ctx.executor, ctx.cost_model, ctx.network
-    )
+    run = run_parallel_nmcs(ctx.state, config, cluster, ctx.executor, ctx.cost_model)
     wall = time.perf_counter() - start
     summary = analyze_communications(run.trace)
     return RunReport(
@@ -1164,7 +1113,7 @@ def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCo
         simulated_seconds=run.simulated_seconds,
         wall_seconds=wall,
         n_jobs=run.n_jobs,
-        n_workers=ctx.cluster.n_clients,
+        n_workers=cluster.n_clients,
         comm=dict(summary.counts),
         client_utilisation=run.client_utilisation(),
         kernel_stats=run.kernel_stats.to_dict() if run.kernel_stats is not None else None,

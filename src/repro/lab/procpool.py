@@ -9,11 +9,11 @@ worker and back:
   across batches and whole sweeps; :func:`shared_pool` is the process-wide
   instance, so repeated batches pay the spawn cost once.
 * **Cells travel as spec dicts.** A :class:`~repro.api.SearchSpec` is a
-  complete, JSON-round-trippable description of one cell, so the one task
-  frame is ``("cells", batch_id, [(cell_index, spec_dict), ...],
-  obs_enabled, network)`` and no game state, executor or engine object ever
-  crosses the process boundary.  Each worker keeps one
-  :class:`~repro.api.Engine` per network model alive across chunks, so the
+  complete, JSON-round-trippable description of one cell (its result is a
+  function of the spec alone), so the one task frame is ``("cells",
+  batch_id, [(cell_index, spec_dict), ...], obs_enabled)`` and no game
+  state, executor or engine object ever crosses the process boundary.  Each
+  worker keeps one :class:`~repro.api.Engine` alive across chunks, so the
   engine's per-workload job caches persist for the whole sweep exactly as
   they do in the parent's inline path.
 * **Chunked dispatch.** Small cells (sub-100 ms kernel runs) would drown in
@@ -115,19 +115,16 @@ def _worker_main(tasks: Any, results: Any, cancel: Any) -> None:
     # A forked worker inherits the parent's counter values; zero them so the
     # per-chunk snapshots it ships home describe this worker's work only.
     obs.metrics.reset()
-    engines: Dict[str, Engine] = {}
+    engine = Engine()
     while True:
         frame = tasks.get()
         if frame is None:
             break
-        _, batch_id, cells, obs_enabled, network = frame
+        _, batch_id, cells, obs_enabled = frame
         if obs_enabled and not obs.enabled():
             obs.enable()
         elif not obs_enabled and obs.enabled():
             obs.disable()
-        engine = engines.get(repr(network))
-        if engine is None:
-            engine = engines[repr(network)] = Engine(network=network)
         for index, spec_dict in cells:
             if cancel.is_set():
                 results.put(("cell", batch_id, index, "skip", None))
@@ -180,20 +177,19 @@ class SweepWorkerPool:
         self,
         pending: List[Tuple[int, SearchSpec]],
         stop: Callable[[], bool],
-        network: Any = None,
     ) -> Iterator[Tuple[int, str, Any]]:
         """Run one batch of ``(index, spec)`` cells, reporting them in completion order.
 
         Yields ``(index, "started", None)`` for each cell as its chunk of
         :func:`auto_chunk_size` cells fills, submits the chunk, then yields
         ``(index, "completed", report)`` or ``(index, "failed", exception)``
-        as the workers answer; ``network`` is the workers' engine network
-        model.  Once ``stop()`` turns true the batch is cancelled: no further
-        chunk is submitted, cells not yet running in a worker are skipped
-        and yield nothing more, and the batch drains before ``run`` returns.
-        A cell skipped although ``stop()`` never turned true (the pool was
-        closed under the batch) fails with ``RuntimeError``.  Closing the
-        generator early cancels the cells still in flight.
+        as the workers answer.  Once ``stop()`` turns true the batch is
+        cancelled: no further chunk is submitted, cells not yet running in a
+        worker are skipped and yield nothing more, and the batch drains
+        before ``run`` returns.  A cell skipped although ``stop()`` never
+        turned true (the pool was closed under the batch) fails with
+        ``RuntimeError``.  Closing the generator early cancels the cells
+        still in flight.
         """
         if self._closed:
             raise RuntimeError("the worker pool has been closed")
@@ -216,7 +212,7 @@ class SweepWorkerPool:
                     yield index, "started", None
                     outstanding_cells.add(index)
                 self.submit_chunk(
-                    batch_id, [(index, spec.to_dict()) for index, spec in chunk], obs_on, network
+                    batch_id, [(index, spec.to_dict()) for index, spec in chunk], obs_on
                 )
                 outstanding_chunks += 1
             while outstanding_cells or outstanding_chunks:
@@ -250,12 +246,11 @@ class SweepWorkerPool:
         batch_id: int,
         cells: Sequence[Tuple[int, Dict[str, Any]]],
         obs_enabled: bool,
-        network: Any = None,
     ) -> None:
         """Enqueue one ``cells`` task frame of ``(cell_index, spec_dict)`` pairs."""
         if self._closed:
             raise RuntimeError("the worker pool has been closed")
-        self._tasks.put(("cells", batch_id, list(cells), obs_enabled, network))
+        self._tasks.put(("cells", batch_id, list(cells), obs_enabled))
         self.chunks_dispatched += 1
         self.cells_dispatched += len(cells)
 
@@ -354,7 +349,6 @@ def run_batch(
     pending: List[Tuple[int, SearchSpec]],
     stop: Callable[[], bool],
     max_workers: Optional[int] = None,
-    network: Any = None,
 ) -> Iterator[Tuple[int, str, Any]]:
     """Run one batch on the shared pool of ``max_workers`` workers.
 
@@ -365,7 +359,7 @@ def run_batch(
     if not pending:
         return
     with _LOCK:
-        yield from _shared_pool_locked(max_workers).run(pending, stop, network)
+        yield from _shared_pool_locked(max_workers).run(pending, stop)
 
 
 def close_shared_pool() -> None:

@@ -147,9 +147,8 @@ class ResultStore:
     root:
         Directory holding the records (created on first write).
     salt:
-        Key salt; defaults to :data:`repro.lab.keys.CODE_VERSION`.  Callers
-        running a non-default engine environment (custom network model, ...)
-        should extend the salt so those results never alias default ones.
+        Key salt; defaults to :data:`repro.lab.keys.CODE_VERSION`.  A store
+        under another salt never sees the default store's records.
     """
 
     def __init__(self, root: Union[str, Path], *, salt: str = CODE_VERSION) -> None:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -115,15 +116,24 @@ class SweepSpec:
             if not values:
                 raise ValueError(f"axis {axis!r} has no values")
             normalized[axis] = tuple(values)
+            if target is None:
+                # SearchSpec checks each field on its own, so checking every
+                # value once against the base fails a bad cell at
+                # construction, not mid-sweep, in time linear in the axes.
+                for value in normalized[axis]:
+                    self.base.replace(**{axis: value})
         object.__setattr__(self, "axes", MappingProxyType(normalized))
+        if isinstance(self.repeats, bool) or not isinstance(self.repeats, int):
+            raise ValueError(
+                f"malformed SweepSpec: repeats must be an integer, got {self.repeats!r}"
+            )
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.repeats > 1 and "seed" in normalized:
             raise ValueError("a 'seed' axis and repeats > 1 both drive the seed; use one")
-        # Expanding eagerly validates every axis value against SearchSpec's
-        # own constraints, so a bad value fails at construction, not mid-sweep.
-        for cell in self.cells():
-            del cell
+        n_cells = self.__len__()  # len() itself would overflow past sys.maxsize
+        if n_cells > sys.maxsize:
+            raise ValueError(f"a sweep has at most {sys.maxsize} cells, this one {n_cells}")
 
     def __len__(self) -> int:
         n = self.repeats
@@ -212,9 +222,9 @@ class SweepSpec:
                 base=base,
                 axes=axes,
                 name=data.get("name", "sweep"),
-                repeats=int(data.get("repeats", 1)),
+                repeats=data.get("repeats", 1),
             )
-        except (TypeError, OverflowError) as exc:  # e.g. a string level on an axis
+        except TypeError as exc:  # e.g. a string freq_ghz on an axis
             raise ValueError(f"malformed SweepSpec: {exc}") from None
 
     @classmethod

@@ -93,13 +93,13 @@ def calibrated_cost_model(
     exactly the paper's Table I entry.  This keeps the ratio between client
     job durations and network latency in the regime of the original cluster,
     which is what the speedup shape depends on; the absolute simulated numbers
-    then read on the same scale as the published tables.
+    then read on the same scale as the published tables.  ``workload`` is a
+    registered workload, by name or as its :class:`Workload`.
     """
     wl = get_workload(workload) if isinstance(workload, str) else workload
     level = level if level is not None else wl.low_level
     reference = Engine().run(
-        SearchSpec(workload=wl.name, level=level, seed=master_seed, max_steps=1),
-        state=wl.state(),
+        SearchSpec(workload=wl.name, level=level, seed=master_seed, max_steps=1)
     )
     return calibrate_from_reference(reference.work_units, reference_seconds, freq_ghz)
 

@@ -101,11 +101,19 @@ class DirectJobExecutor(JobExecutor):
 class CachingJobExecutor(JobExecutor):
     """Memoises job outcomes across runs of the same workload.
 
-    The cache key is the job's full seed identity ``(master_seed, path)``,
-    which uniquely identifies the position and the search performed (the
-    upstream search decisions are deterministic functions of the same master
-    seed).  ``level`` is included defensively so that accidentally reusing a
-    cache across different nesting levels can never alias.
+    The cache key is the job's full seed identity ``(master_seed, path)``;
+    ``level`` is included defensively so that reusing a cache across
+    nesting levels can never alias.  The key names a job's *position* only
+    because every run that shares the cache starts from the same position
+    and steers its root and median games the same way, so those games, and
+    with them the position behind each seed path, are deterministic
+    functions of the master seed.  :class:`repro.api.Engine` keeps one cache
+    per workload, always starts from the workload's initial position, and
+    no spec field steers the root and median games.  A caller sharing one
+    cache across :func:`~repro.parallel.driver.run_parallel_nmcs` calls must
+    keep both the start position and
+    :attr:`~repro.parallel.config.ParallelConfig.memorize_best_sequence`
+    the same.
     """
 
     def __init__(self, inner: Optional[JobExecutor] = None) -> None:

@@ -13,7 +13,9 @@
   subscribes to the first job's event stream and exactly one search
   executes — and a single-spec submission whose record already exists
   resolves *immediately* to a completed job carrying a ``cached`` event
-  (zero searches);
+  (zero searches).  A search's key is the store key of its *pinned* spec
+  (the engine's cost model written into it), and an engine's result is a
+  function of that spec, so equal keys mean equal results;
 * persistent worker threads take jobs in submission order and drive them
   through :meth:`repro.api.Engine.stream` (so per-cell store caching, resume
   and cooperative cancellation via the job's ``threading.Event`` all come
@@ -112,9 +114,6 @@ class SearchService:
         self.engine = engine if engine is not None else Engine()
         self.store = store
         self.config = config if config is not None else ServiceConfig()
-        # The same salted view Engine.stream consults/writes, so the submit
-        # path's cache probe and the execution path can never disagree.
-        self._store_view = self.engine._store_for(store)
         #: Guards every field below.
         self._lock = threading.Lock()
         #: Notified when a job is queued, leaves the queue or finishes, and
@@ -212,9 +211,9 @@ class SearchService:
             return self._reject(client, "shutting_down")
         kind, payload, key, total_cells = self._normalise(payload)
         cached: Optional[Dict[str, Any]] = None
-        if kind == "search" and self._store_view is not None:
+        if kind == "search" and self.store is not None:
             pinned = self._pin(payload)
-            report = self._store_view.get(pinned)
+            report = self.store.get(pinned)
             if report is not None:
                 cached = RunEvent("cached", 0, 1, pinned, report=report, done=1).to_dict()
         with self._lock:
@@ -276,14 +275,11 @@ class SearchService:
             else:
                 payload = SearchSpec.from_dict(payload)
         if isinstance(payload, SweepSpec):
-            salt = self._store_view.salt if self._store_view is not None else None
+            salt = self.store.salt if self.store is not None else None
             return "sweep", payload, self._sweep_key(payload, salt), len(payload)
         if isinstance(payload, SearchSpec):
             pinned = self._pin(payload)
-            if self._store_view is not None:
-                key = self._store_view.key(pinned)
-            else:
-                key = spec_key(pinned)
+            key = self.store.key(pinned) if self.store is not None else spec_key(pinned)
             return "search", payload, key, 1
         raise ValueError(
             f"cannot submit {type(payload).__name__}; expected a SearchSpec, "

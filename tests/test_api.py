@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 
@@ -77,6 +78,12 @@ class TestSearchSpec:
         data["n_workers"] = 2
         with pytest.raises(ValueError, match="unknown SearchSpec fields: n_workers"):
             SearchSpec.from_dict(data)
+
+    def test_from_dict_rejects_the_removed_memorize_best_sequence_field(self):
+        # The ablation switch lives on ParallelConfig only; records stored
+        # while specs carried it no longer decode.
+        with pytest.raises(ValueError, match="unknown SearchSpec fields: memorize_best_sequence"):
+            SearchSpec.from_dict({"workload": "tsp", "memorize_best_sequence": False})
 
     def test_replace_returns_modified_copy(self):
         spec = SearchSpec(workload="tsp")
@@ -236,6 +243,11 @@ def engine():
 
 
 class TestEngine:
+    def test_a_run_is_its_spec_and_the_cost_model(self):
+        """No engine option or run argument can change what a spec evaluates to."""
+        assert list(inspect.signature(Engine).parameters) == ["cost_model"]
+        assert list(inspect.signature(Engine.run).parameters) == ["self", "spec"]
+
     def test_sequential_nmcs_matches_legacy_entry_point(self, engine):
         workload = get_workload("morpion-small")
         report = engine.run(SearchSpec(workload="morpion-small", level=2, seed=3, max_steps=1))

@@ -22,6 +22,10 @@ import pytest
 
 from repro.api import Engine, SearchSpec
 from repro.cluster.network import NetworkModel
+from repro.cluster.topology import single_machine
+from repro.parallel.config import DispatcherKind, ParallelConfig
+from repro.parallel.driver import run_parallel_nmcs
+from repro.workloads import get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "kernel_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -68,36 +72,42 @@ class TestPathologicalRegime:
 
     @staticmethod
     def run_stress(n_clients: int):
-        engine = Engine(network=NetworkModel(latency_s=0.5))
-        spec = SearchSpec(
-            workload="leftmove", backend="sim-cluster", dispatcher="lm",
-            cluster="single", n_clients=n_clients, n_medians=8, max_steps=1,
+        config = ParallelConfig(
+            level=2, dispatcher=DispatcherKind.LAST_MINUTE, n_medians=8, max_root_steps=1
         )
-        return engine.run(spec)
+        return run_parallel_nmcs(
+            get_workload("leftmove").state(), config, single_machine(n_clients),
+            network=NetworkModel(latency_s=0.5),
+        )
 
     def test_bounded_event_count(self):
-        report = self.run_stress(64)
-        stats = report.kernel_stats
+        run = self.run_stress(64)
+        stats = run.kernel_stats
         assert stats is not None
         # The seed kernel did not finish this scenario within 10 minutes of
         # wall time; the virtual-work-time kernel needs a few thousand events.
-        assert stats["events_fired"] < 20_000
-        assert stats["events_cancelled"] < stats["events_fired"]
-        assert report.score > 0.0
+        assert stats.events_fired < 20_000
+        assert stats.events_cancelled < stats.events_fired
+        assert run.score > 0.0
 
     def test_events_grow_linearly_with_clients(self):
-        small = self.run_stress(8).kernel_stats["events_fired"]
-        large = self.run_stress(64).kernel_stats["events_fired"]
+        small = self.run_stress(8).kernel_stats.events_fired
+        large = self.run_stress(64).kernel_stats.events_fired
         # 8x the clients: linear growth allows 8x the events; quadratic would
         # be 64x.  The observed ratio is ~1.1 (the fixed protocol dominates).
         assert large <= 8 * small
 
     def test_stats_surface_everywhere(self):
-        report = self.run_stress(8)
-        run = report.raw
+        run = self.run_stress(8)
         assert run.kernel_stats is not None
         assert run.trace.kernel_stats is not None
-        assert run.kernel_stats.events_fired == report.kernel_stats["events_fired"]
+        assert run.kernel_stats.to_dict()["wall_seconds"] >= 0.0
+        # The engine's report carries the same stats as its raw run.
+        report = Engine().run(SearchSpec(
+            workload="leftmove", backend="sim-cluster", dispatcher="lm",
+            cluster="single", n_clients=8, n_medians=8, max_steps=1,
+        ))
+        assert report.raw.kernel_stats.events_fired == report.kernel_stats["events_fired"]
         assert report.to_dict()["kernel_stats"]["events_fired"] > 0
         assert report.kernel_stats["wall_seconds"] >= 0.0
         assert report.kernel_stats["wall_seconds_per_simulated_second"] is not None

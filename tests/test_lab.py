@@ -7,6 +7,7 @@ import multiprocessing
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,38 @@ class TestSweepSpec:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown SweepSpec fields: bogus"):
             SweepSpec.from_dict({"base": {}, "bogus": 1})
+
+    def test_construction_time_is_linear_in_the_document(self):
+        """Validation checks each axis value once, never each cell."""
+        start = time.perf_counter()
+        sweep = SweepSpec(base=BASE, repeats=10**6)
+        grid = SweepSpec.from_dict({
+            "base": BASE.to_dict(),
+            "axes": {
+                "n_clients": list(range(1, 11)),
+                "n_medians": list(range(1, 11)),
+                "dispatcher": ["rr", "lm"] * 5,
+                "params.x": list(range(10)),
+            },
+        })
+        assert time.perf_counter() - start < 0.1
+        assert len(sweep) == 10**6 and len(grid) == 10**4
+        assert next(sweep.cells()).spec.seed != BASE.seed  # derived repeat seeds
+        with pytest.raises(ValueError, match="at most"):
+            SweepSpec(base=BASE, repeats=2**64)  # more cells than len() can count
+
+    @pytest.mark.parametrize(
+        "axis, bad",
+        [
+            ("level", -1), ("max_steps", 0), ("n_clients", 0), ("n_medians", 2.5),
+            ("seed", 1.5), ("dispatcher", "bogus"), ("freq_ghz", 0.0),
+        ],
+    )
+    def test_a_bad_value_on_any_axis_fails_at_construction(self, axis, bad):
+        axes = {"level": (1, 2), "n_clients": (1, 2), "dispatcher": ("rr", "lm")}
+        axes[axis] = axes.get(axis, (getattr(BASE, axis),)) + (bad,)
+        with pytest.raises(ValueError, match=axis):
+            SweepSpec(base=BASE, axes=axes)
 
 
 class TestKeys:
@@ -370,24 +403,6 @@ class TestBatchLayer:
         (cached,) = fast.run_many([BASE], store=store)
         (cached_row,) = rows_from_reports([cached], store=store)
         assert cached_row["key"] == row["key"]
-
-    def test_engine_network_partitions_store_entries(self, tmp_path):
-        """Runs under different network models never reuse each other's records."""
-        from repro.cluster.network import NetworkModel
-
-        store = ResultStore(tmp_path)
-        default = Engine()
-        slow_net = Engine(network=NetworkModel(latency_s=0.005))  # 100x default
-        (a,) = default.run_many([SIM], store=store)
-        events = []
-        (b,) = slow_net.run_many([SIM], store=store, on_event=lambda e: events.append(e.kind))
-        assert "cached" not in events  # the default-network record was not reused
-        assert len(store) == 2
-        assert b.simulated_seconds > a.simulated_seconds
-        # ... while re-running under the same network resumes as usual.
-        kinds = []
-        slow_net.run_many([SIM], store=store, on_event=lambda e: kinds.append(e.kind))
-        assert kinds == ["cached"]
 
 
 class TestExport:

@@ -17,17 +17,23 @@ from collections import Counter
 import pytest
 
 from repro.api import Engine, SearchSpec
+from repro.cluster.topology import homogeneous_cluster
 from repro.games.base import GameState
+from repro.parallel.config import DispatcherKind, ParallelConfig
+from repro.parallel.driver import run_parallel_nmcs
 from repro.parallel.jobs import CachingJobExecutor, DirectJobExecutor, JobExecutor
 from repro.parallel import roles
 from repro.parallel.messages import ClientJob, estimate_child_size, estimate_state_size
 from repro.workloads import get_workload
 
 #: a full level-2 rollout: every median step ships a fresh position
-SPEC = SearchSpec(
-    workload="leftmove", backend="sim-cluster", level=2, dispatcher="lm",
-    n_clients=8, n_medians=8,
-)
+CONFIG = ParallelConfig(level=2, dispatcher=DispatcherKind.LAST_MINUTE, n_medians=8)
+
+
+def _run(executor, state=None):
+    """The level-2 LM rollout from ``state`` (leftmove's start by default)."""
+    state = get_workload("leftmove").state() if state is None else state.copy()
+    return run_parallel_nmcs(state, CONFIG, homogeneous_cluster(8), executor=executor)
 
 
 class StrictExecutor(JobExecutor):
@@ -57,31 +63,26 @@ def play_callers(monkeypatch):
     return callers
 
 
-def _result(report):
+def _result(run):
     # The stored form: it renders each move, so it also tells a game's move
     # objects from plain tuples of the same value.
-    return report.score, report.to_dict()["sequence"], report.simulated_seconds
+    return run.score, [repr(move) for move in run.result.sequence], run.simulated_seconds
 
 
-def _run_every_executor(spec, state=None):
-    """Run ``spec`` once per executor kind; returns ``(results, executors)``."""
+def _run_every_executor(state=None):
+    """Run the rollout once per executor kind; returns ``(results, executors)``."""
     executors = {
         "direct": DirectJobExecutor(),
         "caching": CachingJobExecutor(),
         "user": StrictExecutor(),
     }
-    results = {
-        name: _result(
-            Engine(executor=executor).run(spec, state=None if state is None else state.copy())
-        )
-        for name, executor in executors.items()
-    }
+    results = {name: _result(_run(executor, state)) for name, executor in executors.items()}
     return results, executors
 
 
 class TestExecutorMatrix:
     def test_every_executor_returns_the_same_run(self):
-        results, executors = _run_every_executor(SPEC)
+        results, executors = _run_every_executor()
         reference = results["direct"]
         assert all(result == reference for result in results.values()), results
         assert executors["user"].positions == executors["direct"].jobs_executed > 0
@@ -94,20 +95,19 @@ class TestExecutorMatrix:
         played = Engine().run(SearchSpec(workload="morpion-small", level=1, seed=3))
         for move in played.sequence[:8]:
             state.apply(move)
-        results, _ = _run_every_executor(SPEC.replace(workload="morpion-small"), state)
+        results, _ = _run_every_executor(state)
         reference = results["direct"]
         assert "MorpionMove" in reference[1][-1]
         assert all(result == reference for result in results.values()), results
 
     def test_warm_cache_builds_no_job_position(self, play_callers):
         executor = CachingJobExecutor()
-        engine = Engine(executor=executor)
-        cold = engine.run(SPEC)
+        cold = _run(executor)
         cold_plays = dict(play_callers)
         assert cold_plays["execute_move"] == executor.misses == cold.n_jobs
 
         play_callers.clear()
-        warm = engine.run(SPEC)
+        warm = _run(executor)
         assert _result(warm) == _result(cold)
         assert executor.hits == warm.n_jobs
         assert play_callers["execute_move"] == 0
@@ -116,8 +116,8 @@ class TestExecutorMatrix:
         assert dict(play_callers) == cold_plays
 
     def test_direct_executor_builds_every_job_position(self, play_callers):
-        report = Engine(executor=DirectJobExecutor()).run(SPEC)
-        assert play_callers["execute_move"] == report.n_jobs
+        run = _run(DirectJobExecutor())
+        assert play_callers["execute_move"] == run.n_jobs
 
 
 class TestShippedPositions:
@@ -164,7 +164,7 @@ class TestShippedPositions:
             return job
 
         monkeypatch.setattr(roles, "ClientJob", recording_job)
-        Engine(executor=DirectJobExecutor()).run(SPEC)
+        _run(DirectJobExecutor())
         assert shipped
         assert all(pickle.dumps(job.parent) == at_send for job, at_send in shipped)
         assert all(job.move in job.parent.legal_moves() for job, _ in shipped)

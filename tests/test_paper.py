@@ -18,7 +18,6 @@ from repro.paper import (
     replay_figure1,
     run_paper,
 )
-from repro.workloads import get_workload
 
 LEVELS = (2, 3)
 REPARTITIONS = ("16x4+16x2", "8x4+8x2")
@@ -323,6 +322,6 @@ def test_calibrated_cost_model_scales_to_the_paper():
     # The calibration target: the low-level first move takes 483 simulated
     # seconds on a 1.86 GHz node (paper Table I, level 3).
     reference = Engine(cost_model=model).run(
-        SearchSpec(level=2, seed=0, max_steps=1), state=get_workload("weakschur").state()
+        SearchSpec(workload="weakschur", level=2, seed=0, max_steps=1)
     )
     assert reference.simulated_seconds == pytest.approx(483.0, rel=1e-6)

@@ -15,12 +15,12 @@ from repro.analysis.commpattern import analyze_communications, verify_pattern
 from repro.api import Engine, SearchSpec
 from repro.cluster.network import NetworkModel
 from repro.cluster.topology import heterogeneous_cluster, homogeneous_cluster
-from repro.games.morpion.geometry import cross_points
-from repro.games.morpion.state import MorpionState
+from repro.games.base import GameState
 from repro.parallel.config import DispatcherKind, ParallelConfig
 from repro.parallel.driver import run_parallel_nmcs
 from repro.parallel.jobs import CachingJobExecutor
 from repro.timemodel.cost import CostModel
+from repro.workloads import get_workload
 
 #: A cost model that makes the scaled workload's client jobs last ~0.1-1 s of
 #: simulated time, i.e. orders of magnitude above the network latency — the
@@ -28,8 +28,12 @@ from repro.timemodel.cost import CostModel
 SLOW_COST_MODEL = CostModel(units_per_ghz_per_second=50.0)
 
 
-def bench_state() -> MorpionState:
-    return MorpionState(line_length=4, initial_points=cross_points(3), max_moves=10)
+#: the scaled Morpion workload; the sequential reference runs it by name
+WORKLOAD = "morpion-small"
+
+
+def bench_state() -> GameState:
+    return get_workload(WORKLOAD).state()
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +66,7 @@ class TestSpeedup:
 
     def test_single_client_close_to_sequential(self, shared_executor):
         sequential = Engine(cost_model=SLOW_COST_MODEL).run(
-            SearchSpec(level=2, seed=3, max_steps=1), state=bench_state()
+            SearchSpec(workload=WORKLOAD, level=2, seed=3, max_steps=1)
         )
         parallel = run_first_move("rr", homogeneous_cluster(1), shared_executor)
         # One client does all the client work sequentially, so the simulated

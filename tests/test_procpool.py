@@ -25,7 +25,6 @@ import pytest
 
 from repro import obs
 from repro.api import ALGORITHMS, Engine, SearchSpec, register_algorithm
-from repro.cluster.network import NetworkModel
 from repro.core.sample import sample
 from repro.lab import ResultStore, SweepSpec
 from repro.lab.procpool import RemoteCellError, SweepWorkerPool, auto_chunk_size
@@ -80,13 +79,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_workers"):
             Engine().run_many([GRID.base], executor="inline", max_workers=2)
 
-    def test_custom_job_executor_cannot_cross_processes(self):
-        from repro.parallel.jobs import CachingJobExecutor
-
-        engine = Engine(executor=CachingJobExecutor())
-        with pytest.raises(ValueError, match="JobExecutor"):
-            _events(engine.stream([GRID.base], executor="process"))
-
     def test_pool_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError, match="n_workers"):
             SweepWorkerPool(n_workers=0)
@@ -109,16 +101,6 @@ class TestDeterminism:
             assert report["sequence"] == twin["sequence"]
             assert report["work_units"] == twin["work_units"]
             assert report["simulated_seconds"] == twin["simulated_seconds"]
-
-    def test_engine_network_model_ships_to_workers(self, tmp_path):
-        network = NetworkModel(latency_s=0.01)
-        spec = GRID.base.replace(n_clients=2)
-        serial = Engine(network=network).run(spec)
-        (proc,) = Engine(network=network).run_many(
-            [spec], executor="process", max_workers=2
-        )
-        assert proc.score == serial.score
-        assert proc.simulated_seconds == serial.simulated_seconds
 
     def test_process_reports_carry_rendered_move_strings(self):
         """A worker's report is rebuilt with ``RunReport.from_dict``, so its
@@ -654,7 +636,7 @@ class TestPoolLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             next(pool.run([(0, GRID.base)], lambda: False))
         with pytest.raises(RuntimeError, match="closed"):
-            pool.submit_chunk(1, [], False, None)
+            pool.submit_chunk(1, [], False)
 
     def test_context_manager_runs_one_batch(self):
         spec = GRID.base.replace(backend="sequential")

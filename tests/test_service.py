@@ -649,6 +649,38 @@ def test_a_malformed_request_gets_one_error_line(served, capsys, malformed):
     assert "Traceback" not in capsys.readouterr().err
 
 
+_LEFTMOVE = {"workload": "leftmove", "level": 1}
+_SIM_LEFTMOVE = {**_LEFTMOVE, "backend": "sim-cluster"}
+#: Integer fields holding other values, each once accepted at submit: a
+#: max_steps of 1.5 played two root moves under a key of its own, a float
+#: level or n_clients failed only once the job ran, a float or boolean seed
+#: ran, and repeats went through int() (1.5 became 1, "3" became 3).
+NOT_INTEGERS = {
+    "max_steps-float": ("spec", {**_LEFTMOVE, "max_steps": 1.5}, "max_steps"),
+    "level-float": ("spec", {**_LEFTMOVE, "level": 1.0}, "level"),
+    "level-bool": ("spec", {**_LEFTMOVE, "level": True}, "level"),
+    "seed-float": ("spec", {**_LEFTMOVE, "seed": 1.5}, "seed"),
+    "seed-bool": ("spec", {**_LEFTMOVE, "seed": True}, "seed"),
+    "n_clients-float": ("spec", {**_SIM_LEFTMOVE, "n_clients": 2.5}, "n_clients"),
+    "n_medians-float": ("spec", {**_SIM_LEFTMOVE, "n_medians": 8.0}, "n_medians"),
+    "repeats-float": ("sweep", {"base": _LEFTMOVE, "repeats": 1.5}, "repeats"),
+    "repeats-string": ("sweep", {"base": _LEFTMOVE, "repeats": "3"}, "repeats"),
+    "axis-float": ("sweep", {"base": _LEFTMOVE, "axes": {"n_clients": [2, 2.5]}}, "n_clients"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, document, field", list(NOT_INTEGERS.values()), ids=list(NOT_INTEGERS)
+)
+def test_an_integer_field_takes_only_integers(served, kind, document, field):
+    client, service = served
+    _, target = parse_address(client.address)
+    answer, ponged = _exchange(target, encode_line({"op": "submit", kind: document}))
+    assert answer["ok"] is False and ponged
+    assert f"{field} must be an integer" in answer["error"]
+    assert service.service_stats()["submitted"] == 0
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda children: (
@@ -661,16 +693,12 @@ _SPEC_FIELDS = st.sampled_from(sorted(SearchSpec.__dataclass_fields__))
 _SPEC_DOCS = st.dictionaries(_SPEC_FIELDS, _JSON, min_size=1, max_size=3)
 #: Sweep axes over real field names, with arbitrary values.
 _AXES = st.dictionaries(_SPEC_FIELDS, st.lists(_JSON, min_size=1, max_size=3), max_size=2)
-#: Any repeat count but a large finite one: SweepSpec validates a sweep by
-#: expanding every cell, which for a large count holds the connection for
-#: minutes.
-_REPEATS = _JSON.filter(lambda v: not (isinstance(v, (int, float)) and 100 < v < math.inf))
 _FIELD_VALUES = {
     "spec": _SPEC_DOCS | _JSON,
     "sweep": st.fixed_dictionaries(
         {},
         optional={
-            "base": _SPEC_DOCS | _JSON, "axes": _AXES | _JSON, "name": _JSON, "repeats": _REPEATS,
+            "base": _SPEC_DOCS | _JSON, "axes": _AXES | _JSON, "name": _JSON, "repeats": _JSON,
         },
     ) | _JSON,
     # No real job id: subscribing to a queued job would wait for it forever.
