@@ -204,7 +204,10 @@ class SearchSpec:
 
     ``level``, ``seed``, ``max_steps``, ``n_clients`` and ``n_medians`` take
     integers only (not ``bool``): ``max_steps=1.5`` would otherwise play two
-    root moves under a key of its own.
+    root moves under a key of its own.  ``workload``, ``algorithm``,
+    ``backend``, ``cluster`` and ``dispatcher`` take strings, and
+    ``freq_ghz`` and ``units_per_ghz`` integers or floats (not ``bool``), so
+    a wrongly typed field fails here rather than once the run starts.
     """
 
     workload: str = "morpion-small"
@@ -225,12 +228,17 @@ class SearchSpec:
         # A read-only view keeps the frozen contract honest (no mutation via
         # spec.params) and excluding it from __hash__ keeps specs hashable.
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-        for name in ("level", "seed", "max_steps", "n_clients", "n_medians"):
-            value = getattr(self, name)
-            if value is None and name in ("level", "max_steps"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"malformed SearchSpec: {name} must be an integer, got {value!r}")
+        for names, kinds, noun in (
+            (("workload", "algorithm", "backend", "cluster", "dispatcher"), str, "a string"),
+            (("level", "seed", "max_steps", "n_clients", "n_medians"), int, "an integer"),
+            (("freq_ghz", "units_per_ghz"), (int, float), "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name in ("level", "max_steps", "dispatcher", "units_per_ghz"):
+                    continue
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ValueError(f"malformed SearchSpec: {name} must be {noun}, got {value!r}")
         if self.level is not None and self.level < 0:
             raise ValueError("level must be >= 0 when given")
         if self.max_steps is not None and self.max_steps < 1:
@@ -1091,7 +1099,7 @@ def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCo
 
     config = ParallelConfig(
         level=ctx.level,
-        dispatcher=DispatcherKind.parse(spec.dispatcher or "rr"),
+        dispatcher=spec.dispatcher or "rr",
         n_medians=spec.n_medians,
         max_root_steps=spec.max_steps,
         master_seed=spec.seed,

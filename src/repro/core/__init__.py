@@ -2,7 +2,9 @@
 
 * :func:`repro.core.sample.sample` — one random playout (Section III).
 * :func:`repro.core.nested.nested_search` / :func:`repro.core.nested.nmcs` —
-  sequential Nested Monte-Carlo Search (Section III).
+  sequential Nested Monte-Carlo Search (Section III);
+  :class:`repro.core.nested.NestedGame` is its game loop, which the parallel
+  roles of :mod:`repro.parallel` drive too.
 * :func:`repro.core.flat.flat_monte_carlo` — flat Monte-Carlo baseline.
 * :func:`repro.core.reflexive.reflexive_search` — reflexive Monte-Carlo search
   (reference [6]), i.e. nesting without best-sequence memorisation.
@@ -11,10 +13,10 @@
   (extension beyond the paper).
 """
 
-from repro.core.counters import WorkCounter, NULL_COUNTER
+from repro.core.counters import WorkCounter
 from repro.core.result import SearchResult, BestTracker
 from repro.core.sample import sample, best_of_samples
-from repro.core.nested import nested_search, nmcs, evaluate_move, candidate_evaluations
+from repro.core.nested import NestedGame, nested_search, nmcs, evaluate_move
 from repro.core.flat import flat_monte_carlo, Aggregation
 from repro.core.reflexive import reflexive_search
 from repro.core.iterated import iterated_search
@@ -22,15 +24,14 @@ from repro.core.nrpa import nrpa_search
 
 __all__ = [
     "WorkCounter",
-    "NULL_COUNTER",
     "SearchResult",
     "BestTracker",
     "sample",
     "best_of_samples",
+    "NestedGame",
     "nested_search",
     "nmcs",
     "evaluate_move",
-    "candidate_evaluations",
     "flat_monte_carlo",
     "Aggregation",
     "reflexive_search",

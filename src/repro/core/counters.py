@@ -17,10 +17,9 @@ into simulated seconds for the executing node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-__all__ = ["WorkCounter", "NULL_COUNTER"]
+__all__ = ["WorkCounter"]
 
 
 @dataclass
@@ -33,13 +32,10 @@ class WorkCounter:
         Number of primitive move applications (the cost unit).
     playouts:
         Number of random playouts completed.
-    nested_calls:
-        Number of nested-search invocations (any level).
     """
 
     moves: int = 0
     playouts: int = 0
-    nested_calls: int = 0
 
     def add_moves(self, n: int) -> None:
         """Record ``n`` primitive move applications (and one playout)."""
@@ -50,49 +46,6 @@ class WorkCounter:
         """Record ``n`` move applications outside a playout (tree descent)."""
         self.moves += int(n)
 
-    def add_nested_call(self) -> None:
-        """Record one nested-search invocation."""
-        self.nested_calls += 1
-
-    def merge(self, other: "WorkCounter") -> None:
-        """Fold another counter into this one."""
-        self.moves += other.moves
-        self.playouts += other.playouts
-        self.nested_calls += other.nested_calls
-
     def snapshot(self) -> "WorkCounter":
         """An independent copy of the current totals."""
-        return WorkCounter(self.moves, self.playouts, self.nested_calls)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.moves = 0
-        self.playouts = 0
-        self.nested_calls = 0
-
-    def __add__(self, other: "WorkCounter") -> "WorkCounter":
-        return WorkCounter(
-            self.moves + other.moves,
-            self.playouts + other.playouts,
-            self.nested_calls + other.nested_calls,
-        )
-
-
-class _NullCounter(WorkCounter):
-    """A counter that ignores every update (used when work tracking is off)."""
-
-    def add_moves(self, n: int) -> None:  # noqa: D102 - see base class
-        pass
-
-    def add_step(self, n: int = 1) -> None:  # noqa: D102
-        pass
-
-    def add_nested_call(self) -> None:  # noqa: D102
-        pass
-
-    def merge(self, other: WorkCounter) -> None:  # noqa: D102
-        pass
-
-
-#: Shared do-nothing counter for callers that do not care about work totals.
-NULL_COUNTER = _NullCounter()
+        return WorkCounter(self.moves, self.playouts)

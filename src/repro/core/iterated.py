@@ -3,8 +3,7 @@
 The record hunts of the paper (Section V: "Running the algorithm at level 4 on
 our cluster, we have discovered two new sequences of 80 moves") repeat
 independent nested searches and keep the best sequence ever found.  This
-module provides that outer loop for the sequential case; the parallel driver
-has its own distributed equivalent.
+module provides that outer loop for the sequential case.
 
 Two stopping criteria are supported and can be combined: a fixed number of
 restarts and a work budget (in primitive move applications), whichever is hit

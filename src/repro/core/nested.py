@@ -27,20 +27,21 @@ committing to a worse move.
 
 Determinism / distribution
 --------------------------
-Every lower-level evaluation derives its random seed from a
-:class:`repro.prng.SeedSequence` extended with ``(level, step, move_index)``.
-This makes the search fully deterministic given the master seed, and — more
-importantly for this reproduction — makes the *result* of each lower-level
-evaluation independent of *where* it is executed.  The parallel algorithms
-(:mod:`repro.parallel`) distribute exactly these evaluations over client
-processes with the same seed derivation, so a parallel run returns the same
-score and sequence as the sequential run it parallelises, whatever the
-schedule.  The tests rely on this equivalence.
+Lines 2–11 of ``nested`` live in one object, :class:`NestedGame`, and every
+NMCS game drives it: :func:`nested_search` evaluates a step's candidates
+inline, while the root and median roles of :mod:`repro.parallel.roles` ship
+them to median and client processes.  Every lower-level evaluation derives
+its random seed from a :class:`repro.prng.SeedSequence` extended with
+``(level, step, move_index)``, so its result does not depend on *where* it
+runs, and :meth:`NestedGame.play` takes the answers in candidate order, so
+the best sequence does not depend on *when* they arrive.  A parallel run
+therefore returns the same score and sequence as the sequential run it
+parallelises, whatever the schedule, because both play the same game.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.counters import WorkCounter
 from repro.core.result import BestTracker, SearchResult
@@ -48,7 +49,77 @@ from repro.core.sample import sample
 from repro.games.base import GameState, Move
 from repro.prng import SeedSequence
 
-__all__ = ["nested_search", "nmcs", "evaluate_move", "candidate_evaluations"]
+__all__ = ["NestedGame", "nested_search", "nmcs", "evaluate_move"]
+
+
+class NestedGame:
+    """One game of the paper's ``nested`` function (lines 2–11), step by step.
+
+    A driver asks for the step's :meth:`candidates`, evaluates each of them
+    one level below in whatever way it likes, and hands the answers to
+    :meth:`play`, which memorises the best sequence and plays the move it
+    continues with.  :func:`nested_search` evaluates inline; the root and
+    median processes of :mod:`repro.parallel.roles` ship the evaluations to
+    other processes.
+
+    ``position`` is the current position and ``step`` the number of moves
+    played so far.  No position is ever mutated: each step's ``position`` is
+    a new object, so a driver may ship it.  With ``max_steps`` the game stops
+    after that many moves.
+    """
+
+    def __init__(
+        self,
+        state: GameState,
+        level: int,
+        seeds: SeedSequence,
+        max_steps: Optional[int] = None,
+    ) -> None:
+        self.position = state
+        self.step = 0
+        self._level = level
+        self._seeds = seeds
+        self._max_steps = max_steps
+        self._best = BestTracker()
+
+    def candidates(self) -> List[Tuple[int, Move, SeedSequence]]:
+        """This step's ``(index, move, child_seeds)`` triples.
+
+        Empty once the game is over or ``max_steps`` moves are played.  The
+        child seeds extend the game's seeds with ``(level, step, index)``.
+        """
+        if self._max_steps is not None and self.step >= self._max_steps:
+            return []
+        level, step, seeds = self._level, self.step, self._seeds
+        return [
+            (i, move, seeds.child(level, step, i))
+            for i, move in enumerate(self.position.legal_moves())
+        ]
+
+    def play(self, answers: Mapping[int, Tuple[float, Sequence[Move]]]) -> Move:
+        """Play the move the best sequence continues with, and return it.
+
+        ``answers[i]`` is candidate ``i``'s ``(score, sequence from its move
+        on)``.  The answers are offered in candidate order, whatever the
+        mapping's order, and only a strictly better score replaces the best
+        sequence (line 7), so a tie keeps the earliest candidate's sequence.
+        """
+        # Every offered sequence starts with the moves played so far, so
+        # those are the best sequence's first ``step`` moves.
+        played = self._best.moves[: self.step]
+        for i in sorted(answers):
+            score, sequence = answers[i]
+            self._best.offer(score, played + tuple(sequence))
+        move = self._best.moves[self.step]
+        self.position = self.position.play(move)
+        self.step += 1
+        return move
+
+    def result(self) -> Tuple[float, Tuple[Move, ...]]:
+        """The best ``(score, moves)`` found; ``(score, ())`` if the start was terminal."""
+        if self._best.has_sequence():
+            return self._best.best()
+        return self.position.score(), ()  # no move was played
 
 
 def evaluate_move(
@@ -79,26 +150,6 @@ def evaluate_move(
         work=work.snapshot(),
         level=level,
     )
-
-
-def candidate_evaluations(
-    state: GameState,
-    level: int,
-    step: int,
-    seeds: SeedSequence,
-) -> List[Tuple[int, Move, SeedSequence]]:
-    """The lower-level evaluations required at one step of a level-``level`` search.
-
-    Returns ``(move_index, move, child_seeds)`` triples.  Both the sequential
-    and the parallel implementations derive their per-candidate seeds through
-    this single function, which is what guarantees that they perform the same
-    evaluations and therefore obtain identical results.
-    """
-    moves = state.legal_moves()
-    return [
-        (i, move, seeds.child(level, step, i))
-        for i, move in enumerate(moves)
-    ]
 
 
 def nested_search(
@@ -134,35 +185,21 @@ def nested_search(
     if level < 0:
         raise ValueError("level must be >= 0")
     work = counter if counter is not None else WorkCounter()
-    work.add_nested_call()
     if level == 0:
         return sample(state, seeds=seeds, counter=work)
 
-    position = state.copy()
-    best = BestTracker()
-    played: List[Move] = []
-    step = 0
+    game = NestedGame(state, level, seeds, max_steps)
     while True:
-        evaluations = candidate_evaluations(position, level, step, seeds)
-        if not evaluations:
-            break  # end of game
-        for move_index, move, child_seeds in evaluations:
-            result = evaluate_move(position, move, level - 1, child_seeds, counter=work)
-            best.offer(result.score, tuple(played) + tuple(result.sequence))
-        # Follow the memorised best sequence (lines 7-11 of the pseudo-code).
-        best_move = best.moves[len(played)]
-        position.apply(best_move)
-        work.add_step()
-        played.append(best_move)
-        step += 1
-        if max_steps is not None and step >= max_steps:
+        candidates = game.candidates()
+        if not candidates:
             break
-
-    if best.has_sequence():
-        score, moves = best.best()
-    else:
-        # The starting position was already terminal.
-        score, moves = state.score(), ()
+        answers = {}
+        for i, move, child_seeds in candidates:
+            result = evaluate_move(game.position, move, level - 1, child_seeds, counter=work)
+            answers[i] = (result.score, result.sequence)
+        game.play(answers)
+        work.add_step()
+    score, moves = game.result()
     return SearchResult(score=score, sequence=moves, work=work.snapshot(), level=level)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.counters import WorkCounter
-from repro.games.base import GameState, Move, Sequence, play_sequence
+from repro.games.base import GameState, Move, play_sequence
 
 __all__ = ["SearchResult", "BestTracker"]
 
@@ -39,10 +39,6 @@ class SearchResult:
     work: WorkCounter = field(default_factory=WorkCounter)
     level: int = 0
 
-    def as_sequence(self) -> Sequence:
-        """The result as a :class:`repro.games.base.Sequence`."""
-        return Sequence(self.sequence, self.score)
-
     def final_state(self, initial: GameState) -> GameState:
         """Replay the result from ``initial`` and return the final state."""
         return play_sequence(initial, self.sequence)
@@ -58,8 +54,8 @@ class BestTracker:
     The sequential nested search of the paper memorises, at each level, the
     best sequence found by any lower-level search so that it can keep
     following it when later samples are worse (lines 7–10 of the ``nested``
-    pseudo-code).  This helper implements that bookkeeping once for both the
-    sequential and the parallel implementations.
+    pseudo-code).  :class:`repro.core.nested.NestedGame` keeps that
+    bookkeeping here for every NMCS game, sequential or parallel.
     """
 
     __slots__ = ("score", "moves")

@@ -15,7 +15,7 @@ Available domains
 * :mod:`repro.games.leftmove` — deterministic toy game for exact tests.
 """
 
-from repro.games.base import GameState, Sequence, replay, play_sequence, random_playout
+from repro.games.base import GameState, play_sequence, random_playout
 from repro.games.leftmove import LeftMoveState
 from repro.games.samegame import SameGameState
 from repro.games.tsp import TSPState, TSPInstance
@@ -25,8 +25,6 @@ from repro.games.morpion import MorpionState, MorpionVariant
 
 __all__ = [
     "GameState",
-    "Sequence",
-    "replay",
     "play_sequence",
     "random_playout",
     "LeftMoveState",

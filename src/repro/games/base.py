@@ -33,14 +33,11 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
 from typing import Hashable, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Move",
     "GameState",
-    "Sequence",
-    "replay",
     "play_sequence",
     "random_playout",
     "playout_from",
@@ -155,42 +152,6 @@ class GameState(abc.ABC):
         return self.score(), tuple(moves_played)
 
 
-@dataclass
-class Sequence:
-    """A sequence of moves together with the score it reaches.
-
-    This is the object the nested search propagates upwards ("best sequence"
-    in the paper's pseudo-code) and that the parallel drivers ship between
-    processes.
-    """
-
-    moves: Tuple[Move, ...] = ()
-    score: float = float("-inf")
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def __iter__(self):
-        return iter(self.moves)
-
-    def __bool__(self) -> bool:
-        return len(self.moves) > 0
-
-    def prepend(self, move: Move) -> "Sequence":
-        """Return a new sequence with ``move`` in front (same score)."""
-        return Sequence((move,) + tuple(self.moves), self.score)
-
-    def extend_front(self, moves: Iterable[Move]) -> "Sequence":
-        """Return a new sequence with ``moves`` prepended (same score)."""
-        return Sequence(tuple(moves) + tuple(self.moves), self.score)
-
-    def better_than(self, other: Optional["Sequence"]) -> bool:
-        """Strictly better score than ``other`` (``None`` counts as -inf)."""
-        if other is None:
-            return True
-        return self.score > other.score
-
-
 def play_sequence(state: GameState, moves: Iterable[Move]) -> GameState:
     """Return a copy of ``state`` after playing every move of ``moves``.
 
@@ -211,15 +172,6 @@ def play_sequence(state: GameState, moves: Iterable[Move]) -> GameState:
             )
         current.apply(move)
     return current
-
-
-def replay(state: GameState, sequence: Sequence) -> float:
-    """Replay ``sequence`` from ``state`` and return the reached score.
-
-    The returned score is recomputed from the final position (not read from
-    the sequence), which lets tests verify that stored scores are truthful.
-    """
-    return play_sequence(state, sequence.moves).score()
 
 
 def playout_from(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["DispatcherKind", "ParallelConfig"]
@@ -41,7 +41,8 @@ class ParallelConfig:
         Total nesting level of the search (the root plays at this level).
         Must be at least 2 for the three-tier root/median/client architecture.
     dispatcher:
-        Round-Robin or Last-Minute client dispatching.
+        Round-Robin or Last-Minute client dispatching; a string is parsed
+        with :meth:`DispatcherKind.parse`, so ``"rr"`` and ``"lm"`` work.
     n_medians:
         Number of median processes.  The paper runs 40, "greater than the
         number of possible moves"; fewer medians serialise the root fan-out
@@ -50,12 +51,6 @@ class ParallelConfig:
         ``None`` plays the root's game to the end (the paper's "one rollout"
         experiments); ``1`` stops after the first move (the "first move"
         experiments).
-    memorize_best_sequence:
-        When True (default) the root and median games follow the globally
-        best sequence exactly like the sequential ``nested`` function, so a
-        parallel run returns the same result as the sequential search.  When
-        False they re-decide from the current step's answers only, which is
-        what the paper's root/median pseudo-code literally does.
     master_seed:
         The root :class:`~repro.prng.SeedSequence` is
         ``SeedSequence(master_seed, "nmcs")``, the one
@@ -70,11 +65,11 @@ class ParallelConfig:
     dispatcher: DispatcherKind = DispatcherKind.ROUND_ROBIN
     n_medians: int = 40
     max_root_steps: Optional[int] = None
-    memorize_best_sequence: bool = True
     master_seed: int = 0
     lm_fifo_jobs: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dispatcher", DispatcherKind.parse(self.dispatcher))
         if self.level < 2:
             raise ValueError(
                 "parallel NMCS needs level >= 2 (root, median and client tiers)"
@@ -83,8 +78,3 @@ class ParallelConfig:
             raise ValueError("n_medians must be >= 1")
         if self.max_root_steps is not None and self.max_root_steps < 1:
             raise ValueError("max_root_steps must be >= 1 when given")
-
-    @property
-    def client_level(self) -> int:
-        """The nesting level of the searches executed by client processes."""
-        return self.level - 2

@@ -113,7 +113,7 @@ def run_parallel_nmcs(
                 config.lm_fifo_jobs,
             )
         for name in median_names:
-            kernel.spawn(name, cluster.server_node, median_process, config, DISPATCHER_NAME, ROOT_NAME)
+            kernel.spawn(name, cluster.server_node, median_process, DISPATCHER_NAME, ROOT_NAME)
         for placement in cluster.clients:
             kernel.spawn(
                 placement.client_name,

@@ -30,7 +30,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.counters import WorkCounter
 from repro.core.nested import nested_search
-from repro.core.result import SearchResult
 from repro.core.sample import sample
 from repro.games.base import GameState, Move
 from repro.prng import SeedSequence
@@ -53,11 +52,6 @@ class JobOutcome:
     score: float
     sequence: Tuple[Move, ...]
     work_units: float
-
-    def as_result(self, level: int) -> SearchResult:
-        work = WorkCounter()
-        work.moves = int(self.work_units)
-        return SearchResult(score=self.score, sequence=self.sequence, work=work, level=level)
 
 
 class JobExecutor:
@@ -104,16 +98,13 @@ class CachingJobExecutor(JobExecutor):
     The cache key is the job's full seed identity ``(master_seed, path)``;
     ``level`` is included defensively so that reusing a cache across
     nesting levels can never alias.  The key names a job's *position* only
-    because every run that shares the cache starts from the same position
-    and steers its root and median games the same way, so those games, and
-    with them the position behind each seed path, are deterministic
-    functions of the master seed.  :class:`repro.api.Engine` keeps one cache
-    per workload, always starts from the workload's initial position, and
-    no spec field steers the root and median games.  A caller sharing one
-    cache across :func:`~repro.parallel.driver.run_parallel_nmcs` calls must
-    keep both the start position and
-    :attr:`~repro.parallel.config.ParallelConfig.memorize_best_sequence`
-    the same.
+    because every run that shares the cache starts from the same position,
+    so its root and median games, and with them the position behind each
+    seed path, are deterministic functions of the master seed.
+    :class:`repro.api.Engine` keeps one cache per workload and always starts
+    from the workload's initial position.  A caller sharing one cache
+    across :func:`~repro.parallel.driver.run_parallel_nmcs` calls must keep
+    the start position the same.
     """
 
     def __init__(self, inner: Optional[JobExecutor] = None) -> None:

@@ -12,25 +12,26 @@ functions as follows:
   candidate move, ships its position and the move to that client, collects
   the scores, plays the best move and finally reports the game's result back
   to the root.  The client's executor builds the position after the move
-  only if it actually runs the search, so the median never mutates a
-  position it has shipped: it advances with ``position = position.play(m)``;
+  only if it actually runs the search, so a shipped position must never
+  change: the median's game builds a new position at every step;
 * a **client process** receives positions and runs a nested rollout at the
-  predefined level (``config.client_level``), optionally notifying the
+  level it is given (two below the root's), optionally notifying the
   dispatcher that it is free again (Last-Minute algorithm) before returning
   the score.
 
-The root and median games use the same best-sequence memorisation as the
-sequential ``nested`` function when ``config.memorize_best_sequence`` is set
-(the default), which makes the parallel search return exactly the result of
-the sequential search it parallelises.
+The root and the medians each play a :class:`~repro.core.nested.NestedGame`,
+the game the sequential ``nested`` function plays, so a parallel run returns
+exactly the result of the sequential search it parallelises: each role only
+decides where a step's candidates are evaluated and what that costs in
+simulated time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence, Tuple
 
-from repro.core.nested import candidate_evaluations
-from repro.core.result import BestTracker, SearchResult
+from repro.core.nested import NestedGame
+from repro.core.result import SearchResult
 from repro.games.base import GameState, Move
 from repro.parallel.config import DispatcherKind, ParallelConfig
 from repro.parallel.jobs import JobExecutor
@@ -91,23 +92,19 @@ def root_process(
     generator's return value) the :class:`SearchResult` of the top-level
     game, exactly like :func:`repro.core.nested.nested_search`.
     """
-    seeds = SeedSequence(config.master_seed, "nmcs")
-    position = state.copy()
-    best = BestTracker()
-    played: List[Move] = []
-    step = 0
-
+    game = NestedGame(
+        state, config.level, SeedSequence(config.master_seed, "nmcs"), config.max_root_steps
+    )
     while True:
-        evaluations = candidate_evaluations(position, config.level, step, seeds)
-        if not evaluations:
+        candidates = game.candidates()
+        if not candidates:
             break
         # -- communication (a): one candidate position per median, round-robin.
-        pending: Dict[int, Move] = {}
-        for i, move, child_seeds in evaluations:
+        for i, move, child_seeds in candidates:
             target = median_names[i % len(median_names)]
-            child = position.play(move)
+            child = game.position.play(move)
             task = MedianTask(
-                root_step=step,
+                root_step=game.step,
                 candidate_index=i,
                 move=move,
                 position=child,
@@ -115,47 +112,26 @@ def root_process(
                 seeds=child_seeds,
             )
             yield ctx.send(target, task, tag=TAG_TASK, size_bytes=estimate_state_size(child))
-            pending[i] = move
         # Trying every candidate move costs the root one move application each.
-        yield ctx.compute(len(evaluations))
+        yield ctx.compute(len(candidates))
 
         # -- communication (d): wait for every median answer of this step.
-        answers: Dict[int, MedianResult] = {}
-        while len(answers) < len(pending):
+        answers: Dict[int, Tuple[float, Tuple[Move, ...]]] = {}
+        while len(answers) < len(candidates):
             message = yield ctx.recv(tag=TAG_RESULT)
             result: MedianResult = message.payload
-            if result.root_step != step:  # pragma: no cover - defensive
+            if result.root_step != game.step:  # pragma: no cover - defensive
                 raise RuntimeError("median answered for a different root step")
-            answers[result.candidate_index] = result
-
-        # Offer the answers in candidate order so tie-breaking matches the
-        # sequential algorithm whatever order the answers arrived in.
-        for i in sorted(answers):
-            best.offer(answers[i].score, tuple(played) + tuple(answers[i].sequence))
-
-        if config.memorize_best_sequence:
-            chosen = best.moves[len(played)]
-        else:
-            best_index = max(sorted(answers), key=lambda i: answers[i].score)
-            chosen = answers[best_index].move
-        position.apply(chosen)
+            answers[result.candidate_index] = (result.score, result.sequence)
+        game.play(answers)
         yield ctx.compute(1)
-        played.append(chosen)
-        step += 1
-        if config.max_root_steps is not None and step >= config.max_root_steps:
-            break
 
     # Terminate every other process: the search is over.
     for target, tag in shutdown_plan:
         yield ctx.send(target, Shutdown(), tag=tag, size_bytes=SMALL_MESSAGE_BYTES)
 
-    if config.memorize_best_sequence and best.has_sequence():
-        score, moves = best.best()
-    elif best.has_sequence():
-        score, moves = position.score(), tuple(played)
-    else:
-        score, moves = state.score(), ()
-    return SearchResult(score=score, sequence=tuple(moves), level=config.level)
+    score, moves = game.result()
+    return SearchResult(score=score, sequence=moves, level=config.level)
 
 
 # --------------------------------------------------------------------------- #
@@ -166,40 +142,35 @@ def _median_play_game(
     start: GameState,
     level: int,
     seeds: SeedSequence,
-    config: ParallelConfig,
     dispatcher: str,
 ) -> Generator:
     """Play one game at ``level`` by delegating candidate evaluations to clients.
 
-    This is the distributed equivalent of
-    :func:`repro.core.nested.nested_search` — same seed derivation, same
-    best-sequence memorisation — with every ``evaluate_move`` shipped to a
-    client chosen by the dispatcher.  Returns
+    The same :class:`~repro.core.nested.NestedGame` as
+    :func:`repro.core.nested.nested_search`, with every ``evaluate_move``
+    shipped to a client chosen by the dispatcher.  Returns
     ``(score, moves, client_work_units)``.
     """
-    # Shipped jobs hold ``position`` until a client runs them: it is never
-    # mutated, each step replaces it with a new object.
-    position = start
-    best = BestTracker()
-    played: List[Move] = []
-    step = 0
+    game = NestedGame(start, level, seeds)
     total_client_work = 0.0
-
     while True:
-        evaluations = candidate_evaluations(position, level, step, seeds)
-        if not evaluations:
+        candidates = game.candidates()
+        if not candidates:
             break
+        # Shipped jobs hold ``position`` until a client runs them; the game
+        # never mutates it.
+        position = game.position
         moves_played = position.moves_played()
         job_size = estimate_child_size(position)
         pending: Dict[Tuple, int] = {}
-        for i, move, child_seeds in evaluations:
+        for i, move, child_seeds in candidates:
             # -- communication (b): ask the dispatcher for a client...
             request = DispatchRequest(median=ctx.name, moves_played=moves_played)
             yield ctx.send(dispatcher, request, tag=TAG_DISPATCH, size_bytes=SMALL_MESSAGE_BYTES)
             reply_msg = yield ctx.recv(source=dispatcher, tag=TAG_DISPATCH)
             reply: DispatchReply = reply_msg.payload
             # ...then ship it the position and the move to evaluate.
-            job_id = (ctx.name, step, i)
+            job_id = (ctx.name, game.step, i)
             job = ClientJob(
                 job_id=job_id,
                 parent=position,
@@ -210,40 +181,25 @@ def _median_play_game(
             )
             yield ctx.send(reply.client, job, tag=TAG_TASK, size_bytes=job_size)
             pending[job_id] = i
-        yield ctx.compute(len(evaluations))
+        yield ctx.compute(len(candidates))
 
         # -- communication (c): collect one result per shipped job.
-        answers: Dict[int, ClientResult] = {}
+        answers: Dict[int, Tuple[float, Tuple[Move, ...]]] = {}
         while len(answers) < len(pending):
             message = yield ctx.recv(tag=TAG_RESULT)
             result: ClientResult = message.payload
             if result.job_id not in pending:  # pragma: no cover - defensive
                 raise RuntimeError(f"unexpected client result {result.job_id!r}")
-            answers[pending[result.job_id]] = result
+            answers[pending[result.job_id]] = (result.score, (result.move,) + result.sequence)
             total_client_work += result.work_units
-
-        for i in sorted(answers):
-            result = answers[i]
-            best.offer(result.score, tuple(played) + (result.move,) + tuple(result.sequence))
-
-        if config.memorize_best_sequence:
-            chosen = best.moves[len(played)]
-        else:
-            best_index = max(sorted(answers), key=lambda i: answers[i].score)
-            chosen = answers[best_index].move
-        position = position.play(chosen)
+        game.play(answers)
         yield ctx.compute(1)
-        played.append(chosen)
-        step += 1
 
-    if best.has_sequence():
-        score, moves = best.best()
-    else:
-        score, moves = start.score(), ()
-    return score, tuple(moves), total_client_work
+    score, moves = game.result()
+    return score, moves, total_client_work
 
 
-def median_process(ctx, config: ParallelConfig, dispatcher: str, root: str = "root") -> Generator:
+def median_process(ctx, dispatcher: str, root: str = "root") -> Generator:
     """A median process: serve root tasks until told to shut down.
 
     (The paper's median pseudo-code, lines 1–12.)  Tasks and the shutdown
@@ -259,7 +215,7 @@ def median_process(ctx, config: ParallelConfig, dispatcher: str, root: str = "ro
             return None
         task: MedianTask = payload
         score, moves, client_work = yield from _median_play_game(
-            ctx, task.position, task.level, task.seeds, config, dispatcher
+            ctx, task.position, task.level, task.seeds, dispatcher
         )
         result = MedianResult(
             root_step=task.root_step,

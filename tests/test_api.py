@@ -120,6 +120,12 @@ class TestSearchSpec:
         with pytest.raises(ValueError):
             SearchSpec(freq_ghz=0.0)
 
+    def test_a_number_field_takes_an_integer_but_not_a_bool(self):
+        spec = SearchSpec.from_dict({"freq_ghz": 2, "units_per_ghz": 100})
+        assert (spec.freq_ghz, spec.units_per_ghz) == (2, 100)  # verbatim, so keys hold
+        with pytest.raises(ValueError, match="freq_ghz must be a number"):
+            SearchSpec(freq_ghz=True)
+
 
 class TestWireForms:
     """to_dict/from_dict of RunReport and RunEvent — the service wire encoding."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.counters import WorkCounter
 from repro.core.flat import Aggregation, flat_monte_carlo
 from repro.core.iterated import iterated_search
-from repro.core.nested import candidate_evaluations, evaluate_move, nested_search, nmcs
+from repro.core.nested import NestedGame, evaluate_move, nested_search, nmcs
 from repro.core.nrpa import nrpa_search
 from repro.core.reflexive import reflexive_search
 from repro.core.sample import best_of_samples, sample
@@ -104,11 +104,6 @@ class TestNested:
         level2 = [nmcs(state, 2, seed=s).score for s in range(8)]
         assert sum(level2) >= sum(level1)
 
-    def test_nested_call_counter(self):
-        counter = WorkCounter()
-        nested_search(LeftMoveState(depth=3, branching=2), 2, SeedSequence(0), counter=counter)
-        assert counter.nested_calls > 1
-
 
 class TestEvaluateMove:
     def test_sequence_includes_the_move(self):
@@ -119,11 +114,32 @@ class TestEvaluateMove:
 
     def test_candidate_evaluations_enumerate_all_moves(self):
         state = LeftMoveState(depth=4, branching=3)
-        evals = candidate_evaluations(state, 2, 0, SeedSequence(0))
+        evals = NestedGame(state, 2, SeedSequence(0)).candidates()
         assert [move for _, move, _ in evals] == [0, 1, 2]
         # distinct candidates get distinct seeds
         seeds = {child.seed() for _, _, child in evals}
         assert len(seeds) == 3
+
+
+class TestNestedGame:
+    def test_answers_count_in_candidate_order_whatever_the_mapping_order(self):
+        game = NestedGame(LeftMoveState(depth=3, branching=2), 1, SeedSequence(0))
+        # A tie keeps the earliest candidate's sequence, here candidate 0's.
+        assert game.play({1: (1.0, (1, 0, 1)), 0: (1.0, (0, 1, 1))}) == 0
+        assert game.result() == (1.0, (0, 1, 1))
+
+    def test_a_step_builds_a_new_position_and_max_steps_ends_the_game(self):
+        state = LeftMoveState(depth=3, branching=2)
+        game = NestedGame(state, 1, SeedSequence(0), max_steps=1)
+        game.play({0: (1.0, (0, 1, 1)), 1: (2.0, (1, 0, 0))})
+        assert (game.step, game.position.moves_played(), state.moves_played()) == (1, 1, 0)
+        assert game.candidates() == []
+        assert game.result() == (2.0, (1, 0, 0))
+
+    def test_a_terminal_start_scores_itself(self):
+        game = NestedGame(LeftMoveState(depth=0), 1, SeedSequence(0))
+        assert game.candidates() == []
+        assert game.result() == (0.0, ())
 
 
 class TestFlat:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.counters import NULL_COUNTER, WorkCounter
+from repro.core.counters import WorkCounter
 from repro.core.result import BestTracker, SearchResult
 from repro.games.leftmove import LeftMoveState
 
@@ -17,40 +17,18 @@ class TestWorkCounter:
         assert counter.moves == 15
         assert counter.playouts == 2
 
-    def test_add_step_and_nested(self):
+    def test_add_step(self):
         counter = WorkCounter()
         counter.add_step()
         counter.add_step(3)
-        counter.add_nested_call()
         assert counter.moves == 4
-        assert counter.nested_calls == 1
         assert counter.playouts == 0
-
-    def test_merge_and_add(self):
-        a = WorkCounter(moves=3, playouts=1, nested_calls=0)
-        b = WorkCounter(moves=4, playouts=2, nested_calls=1)
-        a.merge(b)
-        assert (a.moves, a.playouts, a.nested_calls) == (7, 3, 1)
-        c = a + b
-        assert c.moves == 11
 
     def test_snapshot_is_independent(self):
         counter = WorkCounter()
         snap = counter.snapshot()
         counter.add_moves(5)
         assert snap.moves == 0
-
-    def test_reset(self):
-        counter = WorkCounter(moves=5, playouts=2, nested_calls=1)
-        counter.reset()
-        assert counter.moves == counter.playouts == counter.nested_calls == 0
-
-    def test_null_counter_ignores_everything(self):
-        NULL_COUNTER.add_moves(100)
-        NULL_COUNTER.add_step(5)
-        NULL_COUNTER.add_nested_call()
-        assert NULL_COUNTER.moves == 0
-        assert NULL_COUNTER.playouts == 0
 
 
 class TestSearchResult:
@@ -64,12 +42,11 @@ class TestSearchResult:
         result = SearchResult(score=99.0, sequence=(0, 0, 0))
         assert not result.verify(state)
 
-    def test_final_state_and_as_sequence(self):
+    def test_final_state(self):
         state = LeftMoveState(depth=2, branching=2)
         result = SearchResult(score=1.0, sequence=(0, 1))
         final = result.final_state(state)
         assert final.is_terminal()
-        assert result.as_sequence().moves == (0, 1)
 
 
 class TestBestTracker:

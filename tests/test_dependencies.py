@@ -19,7 +19,7 @@ def test_importing_the_package_loads_no_numpy():
         "print('numpy' in sys.modules, end='')\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         capture_output=True,
         text=True,
         check=True,
@@ -36,7 +36,7 @@ def test_importing_the_package_loads_no_event_loop_or_executor():
         "print([m for m in ('asyncio', 'concurrent.futures') if m in sys.modules], end='')\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         capture_output=True,
         text=True,
         check=True,

@@ -7,42 +7,8 @@ import random
 import pytest
 
 from repro.core.counters import WorkCounter
-from repro.games.base import (
-    Sequence,
-    legal_after,
-    play_sequence,
-    playout_from,
-    random_playout,
-    replay,
-)
+from repro.games.base import legal_after, play_sequence, playout_from, random_playout
 from repro.games.leftmove import LeftMoveState
-
-
-class TestSequence:
-    def test_defaults(self):
-        seq = Sequence()
-        assert len(seq) == 0
-        assert not seq
-        assert seq.score == float("-inf")
-
-    def test_prepend(self):
-        seq = Sequence((1, 2), 5.0)
-        new = seq.prepend(0)
-        assert new.moves == (0, 1, 2)
-        assert new.score == 5.0
-        assert seq.moves == (1, 2)  # original untouched
-
-    def test_extend_front(self):
-        seq = Sequence((2,), 1.0)
-        assert seq.extend_front([0, 1]).moves == (0, 1, 2)
-
-    def test_better_than(self):
-        assert Sequence((), 3.0).better_than(None)
-        assert Sequence((), 3.0).better_than(Sequence((), 2.0))
-        assert not Sequence((), 2.0).better_than(Sequence((), 2.0))
-
-    def test_iteration(self):
-        assert list(Sequence((1, 2, 3), 0.0)) == [1, 2, 3]
 
 
 class TestPlaySequence:
@@ -61,11 +27,6 @@ class TestPlaySequence:
         state = LeftMoveState(depth=2, branching=2)
         with pytest.raises(ValueError, match="illegal"):
             play_sequence(state, [0, 0, 0])  # third move after game end
-
-    def test_replay_returns_recomputed_score(self):
-        state = LeftMoveState(depth=3, branching=2)
-        seq = Sequence((0, 0, 0), score=123.0)  # stored score is a lie
-        assert replay(state, seq) == 3.0
 
     def test_legal_after(self):
         state = LeftMoveState(depth=2, branching=3)

@@ -144,7 +144,7 @@ class TestKeys:
             "print(spec_key(spec), end='')\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-B", "-c", code],
             capture_output=True,
             text=True,
             check=True,

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.topology import homogeneous_cluster
 from repro.games.leftmove import LeftMoveState
 from repro.games.weakschur import WeakSchurState
 from repro.parallel.config import DispatcherKind, ParallelConfig
+from repro.parallel.driver import run_parallel_nmcs
 from repro.parallel.jobs import CachingJobExecutor, DirectJobExecutor
 from repro.parallel.messages import estimate_state_size
 from repro.prng import SeedSequence
@@ -24,9 +26,20 @@ class TestDispatcherKind:
 
 
 class TestParallelConfig:
-    def test_client_level(self):
-        assert ParallelConfig(level=3).client_level == 1
-        assert ParallelConfig(level=4).client_level == 2
+    def test_a_string_dispatcher_is_parsed(self):
+        # A string used to construct unparsed and crash the run's setup.
+        assert ParallelConfig(level=2, dispatcher="rr").dispatcher is DispatcherKind.ROUND_ROBIN
+        assert ParallelConfig(level=2, dispatcher="lm").dispatcher is DispatcherKind.LAST_MINUTE
+        with pytest.raises(ValueError, match="unknown dispatcher kind"):
+            ParallelConfig(level=2, dispatcher="last_mintue")
+
+    @pytest.mark.parametrize("dispatcher", ["rr", "lm"])
+    def test_a_string_dispatcher_runs(self, dispatcher):
+        state = LeftMoveState(depth=4, branching=2)
+        run = run_parallel_nmcs(
+            state, ParallelConfig(level=2, dispatcher=dispatcher), homogeneous_cluster(2)
+        )
+        assert run.result.verify(state)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,8 +66,6 @@ class TestExecutors:
         outcome = executor.execute(state, 0, SeedSequence(0, "job"))
         assert outcome.work_units > 0
         assert executor.jobs_executed == 1
-        result = outcome.as_result(level=0)
-        assert result.score == outcome.score
 
     def test_direct_executor_levels(self):
         executor = DirectJobExecutor()

@@ -649,7 +649,7 @@ class TestPoolLifecycle:
     def test_an_unclosed_pool_does_not_hang_interpreter_exit(self):
         code = "from repro.lab.procpool import SweepWorkerPool; p = SweepWorkerPool(1)"
         done = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-B", "-c", code],
             env={"PYTHONPATH": str(Path(__file__).parent.parent / "src")},
             capture_output=True,
             timeout=30,

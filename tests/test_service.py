@@ -667,6 +667,17 @@ NOT_INTEGERS = {
     "repeats-string": ("sweep", {"base": _LEFTMOVE, "repeats": "3"}, "repeats"),
     "axis-float": ("sweep", {"base": _LEFTMOVE, "axes": {"n_clients": [2, 2.5]}}, "n_clients"),
 }
+#: String and number fields holding other types, each once accepted at
+#: submit: a number workload, algorithm, backend or cluster failed only once
+#: the job ran, and a boolean frequency ran as 1 GHz or 1 unit per GHz-second.
+NOT_THEIR_TYPE = {
+    "workload-int": ({"workload": 5}, "workload must be a string"),
+    "algorithm-int": ({**_LEFTMOVE, "algorithm": 3}, "algorithm must be a string"),
+    "backend-int": ({**_LEFTMOVE, "backend": 2}, "backend must be a string"),
+    "cluster-int": ({**_SIM_LEFTMOVE, "cluster": 5}, "cluster must be a string"),
+    "freq_ghz-bool": ({**_LEFTMOVE, "freq_ghz": True}, "freq_ghz must be a number"),
+    "units_per_ghz-bool": ({**_LEFTMOVE, "units_per_ghz": True}, "units_per_ghz must be a number"),
+}
 
 
 @pytest.mark.parametrize(
@@ -678,6 +689,18 @@ def test_an_integer_field_takes_only_integers(served, kind, document, field):
     answer, ponged = _exchange(target, encode_line({"op": "submit", kind: document}))
     assert answer["ok"] is False and ponged
     assert f"{field} must be an integer" in answer["error"]
+    assert service.service_stats()["submitted"] == 0
+
+
+@pytest.mark.parametrize(
+    "document, message", list(NOT_THEIR_TYPE.values()), ids=list(NOT_THEIR_TYPE)
+)
+def test_a_string_or_number_field_takes_only_its_type(served, document, message):
+    client, service = served
+    _, target = parse_address(client.address)
+    answer, ponged = _exchange(target, encode_line({"op": "submit", "spec": document}))
+    assert answer["ok"] is False and ponged
+    assert message in answer["error"]
     assert service.service_stats()["submitted"] == 0
 
 
