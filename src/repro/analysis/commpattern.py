@@ -6,7 +6,8 @@ the client computations they trigger) happen in parallel.  Instead of
 diagrams, the reproduction derives the same information from the execution
 trace of a simulated run:
 
-* every traced message is classified into the paper's communication types
+* every message, counted by the trace's per-payload tallies, is classified
+  into the paper's communication types
   (a) root→median task, (b) median→dispatcher request / dispatcher→median
   reply / median→client job, (c) client→median result, (c') client→dispatcher
   free notification (Last-Minute only) and (d) median→root result;
@@ -26,7 +27,12 @@ from typing import Dict, List, Optional
 from repro.cluster.trace import Trace
 from repro.parallel.config import DispatcherKind
 
-__all__ = ["CommunicationSummary", "analyze_communications", "verify_pattern"]
+__all__ = [
+    "CommunicationSummary",
+    "analyze_communications",
+    "communication_counts",
+    "verify_pattern",
+]
 
 #: Map from payload class name to the paper's communication label.
 _PAYLOAD_TO_KIND = {
@@ -56,20 +62,30 @@ class CommunicationSummary:
         return self.counts.get(kind, 0)
 
 
-def analyze_communications(trace: Trace) -> CommunicationSummary:
-    """Classify every traced message and measure client-compute overlap.
+def communication_counts(trace: Trace) -> Dict[str, int]:
+    """Message counts per communication kind of the paper, from the trace's tallies.
 
-    Message counts and the makespan come from the trace's running tallies
-    (see :class:`~repro.cluster.trace.Trace`), so the messages are not
-    re-scanned.
+    This is the ``comm`` of a ``sim-cluster`` report; it reads the running
+    payload tallies (see :class:`~repro.cluster.trace.Trace`), so it needs
+    no message log.
     """
     counts: Dict[str, int] = {}
     for payload_type, n in trace.payload_counts().items():
         kind = _PAYLOAD_TO_KIND.get(payload_type, f"other: {payload_type}")
         counts[kind] = counts.get(kind, 0) + n
+    return counts
+
+
+def analyze_communications(trace: Trace) -> CommunicationSummary:
+    """Classify every traced message and measure client-compute overlap.
+
+    Message counts come from :func:`communication_counts` and the makespan
+    from the trace's tallies, so a trace without a message log will do; the
+    overlap figures scan the compute records.
+    """
     clients_used = {c.pid for c in trace.computes if c.pid.startswith("client")}
     return CommunicationSummary(
-        counts=counts,
+        counts=communication_counts(trace),
         max_client_concurrency=trace.max_concurrency("client"),
         mean_client_concurrency=trace.mean_concurrency("client"),
         n_clients_used=len(clients_used),

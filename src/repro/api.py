@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -107,6 +108,7 @@ __all__ = [
     "list_algorithms",
     "list_backends",
     "build_cluster",
+    "parallel_config",
     "to_jsonable",
 ]
 
@@ -206,8 +208,9 @@ class SearchSpec:
     integers only (not ``bool``): ``max_steps=1.5`` would otherwise play two
     root moves under a key of its own.  ``workload``, ``algorithm``,
     ``backend``, ``cluster`` and ``dispatcher`` take strings, and
-    ``freq_ghz`` and ``units_per_ghz`` integers or floats (not ``bool``), so
-    a wrongly typed field fails here rather than once the run starts.
+    ``freq_ghz`` and ``units_per_ghz`` finite integers or floats (not
+    ``bool``, NaN or infinity), so a wrongly typed field fails here rather
+    than once the run starts, and no stored report reads NaN seconds.
     """
 
     workload: str = "morpion-small"
@@ -239,6 +242,10 @@ class SearchSpec:
                     continue
                 if isinstance(value, bool) or not isinstance(value, kinds):
                     raise ValueError(f"malformed SearchSpec: {name} must be {noun}, got {value!r}")
+        for name in ("freq_ghz", "units_per_ghz"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"malformed SearchSpec: {name} must be finite, got {value!r}")
         if self.level is not None and self.level < 0:
             raise ValueError("level must be >= 0 when given")
         if self.max_steps is not None and self.max_steps < 1:
@@ -315,7 +322,9 @@ class RunReport:
 
     ``raw`` keeps the backend-native result object (``SearchResult`` or
     ``ParallelRunResult``) for callers that need substrate-specific detail
-    (e.g. the execution trace); it is excluded from the serialised form.
+    (e.g. the trace's tallies and compute records; a ``sim-cluster`` cell
+    keeps no message log, see :func:`parallel_config`); it is excluded from
+    the serialised form.
     ``n_jobs`` and ``n_workers`` are set by the ``sim-cluster`` backend only:
     the client jobs dispatched and the simulated cluster's client count.
     """
@@ -598,6 +607,24 @@ def build_cluster(spec: SearchSpec) -> ClusterSpec:
         )
     known = "homogeneous, paper, paper-mix, single, heterogeneous:<N>x<a>+<M>x<b>"
     raise ValueError(f"unknown cluster descriptor {spec.cluster!r}; known kinds: {known}")
+
+
+def parallel_config(spec: SearchSpec, level: int) -> ParallelConfig:
+    """The :class:`ParallelConfig` the ``sim-cluster`` backend runs ``spec`` with at ``level``.
+
+    With :func:`build_cluster` it replays a cell through the kernel, for
+    instance to record the message log a cell does not keep::
+
+        run_parallel_nmcs(state, parallel_config(spec, level), build_cluster(spec), trace=Trace())
+    """
+    return ParallelConfig(
+        level=level,
+        dispatcher=spec.dispatcher or "rr",
+        n_medians=spec.n_medians,
+        max_root_steps=spec.max_steps,
+        master_seed=spec.seed,
+        lm_fifo_jobs=bool(spec.params.get("lm_fifo_jobs", False)),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -1095,21 +1122,13 @@ def _backend_sequential(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCon
     params=("lm_fifo_jobs",),
 )
 def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunContext) -> RunReport:
-    from repro.analysis.commpattern import analyze_communications
+    from repro.analysis.commpattern import communication_counts
 
-    config = ParallelConfig(
-        level=ctx.level,
-        dispatcher=spec.dispatcher or "rr",
-        n_medians=spec.n_medians,
-        max_root_steps=spec.max_steps,
-        master_seed=spec.seed,
-        lm_fifo_jobs=bool(spec.params.get("lm_fifo_jobs", False)),
-    )
+    config = parallel_config(spec, ctx.level)
     cluster = build_cluster(spec)
     start = time.perf_counter()
     run = run_parallel_nmcs(ctx.state, config, cluster, ctx.executor, ctx.cost_model)
     wall = time.perf_counter() - start
-    summary = analyze_communications(run.trace)
     return RunReport(
         spec=spec,
         algorithm=algorithm.name,
@@ -1122,7 +1141,7 @@ def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCo
         wall_seconds=wall,
         n_jobs=run.n_jobs,
         n_workers=cluster.n_clients,
-        comm=dict(summary.counts),
+        comm=communication_counts(run.trace),
         client_utilisation=run.client_utilisation(),
         kernel_stats=run.kernel_stats.to_dict() if run.kernel_stats is not None else None,
         raw=run,

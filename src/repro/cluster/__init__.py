@@ -13,8 +13,9 @@ reproduction: a deterministic discrete-event simulator in which
   MPI-flavoured interface (``send`` / ``recv`` with tags and ``ANY_SOURCE``);
 * **the network** adds per-message latency and bandwidth-proportional delay,
   preserving per-sender/receiver ordering like MPI;
-* every message and computation is recorded in a :class:`~repro.cluster.trace.Trace`
-  for the communication-pattern analyses of Figures 2–5.
+* every computation, and a tally of every message (the messages themselves
+  on request), is recorded in a :class:`~repro.cluster.trace.Trace` for the
+  communication-pattern analyses of Figures 2–5.
 
 The search work executed by simulated client processes is *real* (the nested
 searches actually run and their results are exact); only elapsed time is

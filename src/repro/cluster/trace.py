@@ -1,27 +1,39 @@
-"""Execution traces: every message and every computation of a simulated run.
+"""Execution traces: what a simulated run sent and computed.
 
 The paper's Figures 2–5 describe the communication patterns of the
 Round-Robin and Last-Minute algorithms (which process talks to which, and
 which communications overlap in time).  Rather than drawing diagrams, the
-reproduction records a full trace of the simulated run and provides queries
-that verify and quantify those patterns — see
-:mod:`repro.analysis.commpattern` for the figure-level analysis built on top
-of these records.
+reproduction records the simulated run and provides queries that verify and
+quantify those patterns — see :mod:`repro.analysis.commpattern` for the
+figure-level analysis built on top of these records.
 
-A run records hundreds of thousands of messages, and every simulated cell
-is summarised right after it runs, so the trace also counts messages per
-payload type, and keeps the latest receive time, as it records them.
-:meth:`Trace.payload_counts` and :meth:`Trace.makespan` read those tallies
-instead of re-scanning the messages whenever every message came through
-:meth:`Trace.record_message`; on a trace whose message list was filled by
-hand they scan.  Compute queries always scan: a run has a quarter as many
-computations, and they are cheap to walk.
+A trace always keeps one :class:`ComputeRecord` per computation, and counts
+messages per payload type, and the latest receive time, as
+:meth:`Trace.record_message` sees them.  The message log itself (one
+:class:`MessageRecord` per message) is kept only when asked for:
+
+* ``Trace()`` (and so a bare :class:`~repro.cluster.simulator.Kernel`)
+  keeps it;
+* ``Trace(log_messages=False)`` keeps the tallies alone.  That is what
+  :func:`~repro.parallel.driver.run_parallel_nmcs` records by default, so
+  every ``sim-cluster`` cell, sweep cell and service job runs without a log:
+  a ``paper-tables`` pass sends about 276,000 messages, and the tables read
+  only their tallies.  Pass ``trace=Trace()`` to ``run_parallel_nmcs`` to
+  get the log.
+
+:meth:`Trace.payload_counts` and :meth:`Trace.makespan` read the tallies.
+On a trace that keeps a log whose list was filled by hand (so the tallies no
+longer cover it) they scan the log instead.  The log queries
+(``messages``, :meth:`Trace.messages_between`, :meth:`Trace.messages_by_type`,
+:meth:`Trace.communication_edges`) raise ``ValueError`` on a trace without a
+log, rather than answer as if the run sent nothing.  Compute queries always
+scan: a run has a quarter as many computations, and they are cheap to walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.simulator import KernelStats
@@ -29,9 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["MessageRecord", "ComputeRecord", "Trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MessageRecord:
-    """One point-to-point message."""
+    """One point-to-point message (never changed once recorded)."""
 
     source: str
     dest: str
@@ -43,9 +55,9 @@ class MessageRecord:
     delivered: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ComputeRecord:
-    """One completed computation on a node."""
+    """One completed computation on a node (never changed once recorded)."""
 
     pid: str
     node: str
@@ -58,21 +70,44 @@ class ComputeRecord:
         return self.end - self.start
 
 
-@dataclass
 class Trace:
-    """All records of one simulated run."""
+    """The records of one simulated run (see the module docstring).
 
-    messages: List[MessageRecord] = field(default_factory=list)
-    computes: List[ComputeRecord] = field(default_factory=list)
-    enabled: bool = True
-    #: Kernel diagnostics of the run that produced this trace; filled by
-    #: :meth:`repro.cluster.simulator.Kernel.run` (None for hand-built traces).
-    kernel_stats: Optional["KernelStats"] = None
+    ``messages`` and ``computes`` start a trace from records of your own;
+    ``log_messages=False`` keeps no message log, so it takes no
+    ``messages``.  ``kernel_stats`` holds the diagnostics of the run that
+    produced the trace; :meth:`repro.cluster.simulator.Kernel.run` fills it
+    (None for hand-built traces).
+    """
 
-    def __post_init__(self) -> None:
-        # Running tallies of what record_message appended (see the module docstring).
+    def __init__(
+        self,
+        messages: Optional[List[MessageRecord]] = None,
+        computes: Optional[List[ComputeRecord]] = None,
+        log_messages: bool = True,
+        kernel_stats: Optional["KernelStats"] = None,
+    ) -> None:
+        if log_messages and messages is None:
+            messages = []
+        elif not log_messages and messages is not None:
+            raise ValueError("a trace with log_messages=False keeps no messages")
+        #: The message log, or None when this trace keeps none.
+        self._messages: Optional[List[MessageRecord]] = messages
+        self.computes: List[ComputeRecord] = computes if computes is not None else []
+        self.kernel_stats = kernel_stats
+        # Running tallies of what record_message saw (see the module docstring).
         self._payload_counts: Dict[str, int] = {}
         self._last_received = 0.0
+
+    @property
+    def messages(self) -> List[MessageRecord]:
+        """The message log, in delivery order (raises on a trace without one)."""
+        if self._messages is None:
+            raise ValueError(
+                "this trace kept no message log, only per-payload tallies; "
+                "run_parallel_nmcs(..., trace=Trace()) records one"
+            )
+        return self._messages
 
     # ------------------------------------------------------------------ #
     # Recording (called by the kernel)
@@ -87,25 +122,22 @@ class Trace:
         sent_at: float,
         received_at: float,
     ) -> None:
-        if not self.enabled:
-            return
         payload_type = type(payload).__name__
-        self.messages.append(
-            MessageRecord(source, dest, tag, payload_type, size_bytes, sent_at, received_at)
-        )
+        if self._messages is not None:
+            self._messages.append(
+                MessageRecord(source, dest, tag, payload_type, size_bytes, sent_at, received_at)
+            )
         counts = self._payload_counts
         counts[payload_type] = counts.get(payload_type, 0) + 1
         if received_at > self._last_received:
             self._last_received = received_at
 
     def record_compute(self, pid: str, node: str, start: float, end: float, work: float) -> None:
-        if not self.enabled:
-            return
         self.computes.append(ComputeRecord(pid, node, start, end, work))
 
     def _messages_tallied(self) -> bool:
-        """Whether the tallies cover the message list (it was not filled by hand)."""
-        return sum(self._payload_counts.values()) == len(self.messages)
+        """Whether the tallies cover the messages (no log, or one not filled by hand)."""
+        return self._messages is None or sum(self._payload_counts.values()) == len(self._messages)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -150,8 +182,8 @@ class Trace:
             last = max(last, max(c.end for c in self.computes))
         if self._messages_tallied():
             last = max(last, self._last_received)
-        elif self.messages:
-            last = max(last, max(m.received_at for m in self.messages))
+        elif self._messages:
+            last = max(last, max(m.received_at for m in self._messages))
         return last
 
     def max_concurrency(self, pid_prefix: str = "client") -> int:
@@ -193,7 +225,8 @@ class Trace:
 
     def clear(self) -> None:
         """Drop every record (reuse the trace object for another run)."""
-        self.messages.clear()
+        if self._messages is not None:
+            self._messages.clear()
         self.computes.clear()
         self._payload_counts.clear()
         self._last_received = 0.0

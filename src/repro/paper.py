@@ -18,7 +18,8 @@ The workload's two levels stand in for the paper's levels 3 and 4.
 Durations are simulated through the calibrated cost model, so the claims
 compare speedups and orderings, never absolute seconds.  Figures 2–5 run
 live on every invocation: their measures (message counts, client
-concurrency) need the execution trace, which no store record keeps.
+concurrency) need the trace's message tallies and compute records, which no
+store record keeps.
 """
 
 from __future__ import annotations

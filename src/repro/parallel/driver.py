@@ -7,6 +7,10 @@ time and the execution trace.  It is the kernel underneath the ``sim-cluster``
 backend of :mod:`repro.api`; the paper's experiment types are specs run
 through :class:`repro.api.Engine` (``max_steps=1`` is the "first move"
 experiment, ``max_steps=None`` the "one rollout" one).
+
+By default the trace keeps per-payload message tallies and the compute
+records but no message log (see :mod:`repro.cluster.trace`);
+``trace=Trace()`` records the log too.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ class ParallelRunResult:
 
     result: SearchResult
     simulated_seconds: float
+    #: What the run recorded: message tallies and compute records, plus the
+    #: message log when the caller passed a trace that keeps one.
     trace: Trace
     config: ParallelConfig
     cluster: ClusterSpec
@@ -68,6 +74,7 @@ def run_parallel_nmcs(
     executor: Optional[JobExecutor] = None,
     cost_model: Optional[CostModel] = None,
     network: Optional[NetworkModel] = None,
+    trace: Optional[Trace] = None,
 ) -> ParallelRunResult:
     """Run one parallel NMCS search on the simulated ``cluster``.
 
@@ -85,6 +92,12 @@ def run_parallel_nmcs(
         search work across several topologies of the same workload.
     cost_model / network:
         Simulation parameters; defaults model the paper's hardware.
+    trace:
+        The trace to record into.  The default,
+        ``Trace(log_messages=False)``, keeps the message tallies and the
+        compute records, which is all the ``sim-cluster`` reports and the
+        paper's figures read; pass ``Trace()`` to keep one
+        :class:`~repro.cluster.trace.MessageRecord` per message as well.
     """
     if cluster.n_clients < 1:
         raise ValueError("the cluster must host at least one client process")
@@ -95,7 +108,11 @@ def run_parallel_nmcs(
         n_clients=cluster.n_clients,
         n_medians=config.n_medians,
     ):
-        kernel = Kernel(cost_model=cost_model, network=network)
+        kernel = Kernel(
+            cost_model=cost_model,
+            network=network,
+            trace=trace if trace is not None else Trace(log_messages=False),
+        )
         kernel.add_nodes(cluster.nodes)
 
         client_names = cluster.client_names()

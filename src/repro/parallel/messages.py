@@ -9,17 +9,21 @@ The paper (Section IV, figures 2–5) distinguishes the communications:
 * (c') client → dispatcher: the client announces it is free (Last-Minute only);
 * (d) median → root: the result of the median's game.
 
-Each of these is a dataclass below.  Message tags separate the request and
-result planes so that a process never mistakes a new task for a pending
-result (a median may be assigned a new root task while still collecting
-client results for the previous one when there are fewer medians than legal
-moves).
+Each of these is a dataclass below.  A run builds one payload per message
+(about 276,000 in a ``paper-tables`` pass), so they are slotted rather than
+frozen, which makes them about four times cheaper to build; a process never
+changes a payload once it has sent or received it.
+
+Message tags separate the request and result planes so that a process never
+mistakes a new task for a pending result (a median may be assigned a new
+root task while still collecting client results for the previous one when
+there are fewer medians than legal moves).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.games.base import GameState, Move
 from repro.prng import SeedSequence
@@ -77,7 +81,7 @@ def _size_after(moves_played: int) -> float:
     return 512.0 + 16.0 * moves_played
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MedianTask:
     """Root → median: evaluate one candidate move of the root's game (comm. a)."""
 
@@ -89,7 +93,7 @@ class MedianTask:
     seeds: SeedSequence
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MedianResult:
     """Median → root: result of the median's game for one candidate (comm. d)."""
 
@@ -98,10 +102,9 @@ class MedianResult:
     move: Move
     score: float
     sequence: Tuple[Move, ...]  # includes ``move`` as its first element
-    client_work_units: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DispatchRequest:
     """Median → dispatcher: which client should run my next job? (comm. b)
 
@@ -114,14 +117,14 @@ class DispatchRequest:
     moves_played: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DispatchReply:
     """Dispatcher → median: use this client for your job (comm. b)."""
 
     client: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientJob:
     """Median → client: run a nested rollout from ``parent.play(move)`` (comm. b).
 
@@ -141,7 +144,7 @@ class ClientJob:
     reply_to: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientResult:
     """Client → median: score and sequence of the client's search (comm. c)."""
 
@@ -149,18 +152,17 @@ class ClientResult:
     move: Move
     score: float
     sequence: Tuple[Move, ...]  # moves from the job position (excludes ``move``)
-    work_units: float
     client: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientFree:
     """Client → dispatcher: this client is now free (comm. c', Last-Minute only)."""
 
     client: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Shutdown:
     """Control message terminating the receiving process' main loop."""
 

@@ -148,11 +148,9 @@ def _median_play_game(
 
     The same :class:`~repro.core.nested.NestedGame` as
     :func:`repro.core.nested.nested_search`, with every ``evaluate_move``
-    shipped to a client chosen by the dispatcher.  Returns
-    ``(score, moves, client_work_units)``.
+    shipped to a client chosen by the dispatcher.  Returns ``(score, moves)``.
     """
     game = NestedGame(start, level, seeds)
-    total_client_work = 0.0
     while True:
         candidates = game.candidates()
         if not candidates:
@@ -191,12 +189,10 @@ def _median_play_game(
             if result.job_id not in pending:  # pragma: no cover - defensive
                 raise RuntimeError(f"unexpected client result {result.job_id!r}")
             answers[pending[result.job_id]] = (result.score, (result.move,) + result.sequence)
-            total_client_work += result.work_units
         game.play(answers)
         yield ctx.compute(1)
 
-    score, moves = game.result()
-    return score, moves, total_client_work
+    return game.result()
 
 
 def median_process(ctx, dispatcher: str, root: str = "root") -> Generator:
@@ -214,7 +210,7 @@ def median_process(ctx, dispatcher: str, root: str = "root") -> Generator:
         if isinstance(payload, Shutdown):
             return None
         task: MedianTask = payload
-        score, moves, client_work = yield from _median_play_game(
+        score, moves = yield from _median_play_game(
             ctx, task.position, task.level, task.seeds, dispatcher
         )
         result = MedianResult(
@@ -223,7 +219,6 @@ def median_process(ctx, dispatcher: str, root: str = "root") -> Generator:
             move=task.move,
             score=score,
             sequence=(task.move,) + tuple(moves),
-            client_work_units=client_work,
         )
         yield ctx.send(root, result, tag=TAG_RESULT, size_bytes=client_result_size(result.sequence))
 
@@ -264,7 +259,6 @@ def client_process(
             move=job.move,
             score=outcome.score,
             sequence=tuple(outcome.sequence),
-            work_units=outcome.work_units,
             client=ctx.name,
         )
         yield ctx.send(

@@ -53,7 +53,7 @@ def main() -> None:
                 "sequence": [repr(move) for move in report.sequence],
                 "work_units": report.work_units,
                 "simulated_seconds": report.simulated_seconds,
-                "n_messages": len(report.raw.trace.messages),
+                "n_messages": sum(report.raw.trace.payload_counts().values()),
             }
         )
         print(f"{overrides}: score={report.score} sim={report.simulated_seconds:.6f}")

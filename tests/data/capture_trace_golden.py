@@ -22,6 +22,11 @@ Run from the repository root against a kernel revision considered correct::
 
 and commit the resulting ``trace_golden.json``; ``tests/test_trace_golden.py``
 replays every scenario and demands exact equality.
+
+A ``sim-cluster`` cell keeps no message log, so each scenario runs through
+``run_parallel_nmcs`` with the config and cluster the backend builds for the
+spec (:func:`repro.api.parallel_config`, :func:`repro.api.build_cluster`),
+into a ``Trace()`` that records one.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ import json
 from pathlib import Path
 from typing import Any, Dict
 
-from repro.api import Engine, SearchSpec
+from repro.api import SearchSpec, build_cluster, parallel_config
+from repro.cluster.trace import Trace
+from repro.parallel.driver import run_parallel_nmcs
+from repro.workloads import get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "trace_golden.json"
 
@@ -55,9 +63,14 @@ def _hex(value: float) -> str:
 
 
 def trace_record(overrides: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one scenario on a fresh engine and summarise its trace exactly."""
-    report = Engine().run(SearchSpec(backend="sim-cluster", **overrides))
-    trace = report.raw.trace
+    """Run one scenario as a fresh engine would, and summarise its trace exactly."""
+    spec = SearchSpec(backend="sim-cluster", **overrides)
+    workload = get_workload(spec.workload)
+    level = workload.low_level if spec.level is None else spec.level
+    run = run_parallel_nmcs(
+        workload.state(), parallel_config(spec, level), build_cluster(spec), trace=Trace()
+    )
+    trace = run.trace
     digest = hashlib.sha256()
     for m in trace.messages:
         digest.update(
@@ -68,19 +81,19 @@ def trace_record(overrides: Dict[str, Any]) -> Dict[str, Any]:
         digest.update(
             f"c {c.pid} {c.node} {_hex(c.start)} {_hex(c.end)} {_hex(c.work)}\n".encode()
         )
-    stats = report.kernel_stats
+    stats = run.kernel_stats
     return {
         "spec": overrides,
-        "score": report.score,
-        "sequence": [repr(move) for move in report.sequence],
-        "simulated_seconds": _hex(report.simulated_seconds),
+        "score": run.score,
+        "sequence": [repr(move) for move in run.result.sequence],
+        "simulated_seconds": _hex(run.simulated_seconds),
         "messages": len(trace.messages),
         "computes": len(trace.computes),
-        "events_fired": stats["events_fired"],
-        "events_scheduled": stats["events_scheduled"],
-        "events_cancelled": stats["events_cancelled"],
-        "peak_queue_size": stats["peak_queue_size"],
-        "compactions": stats["compactions"],
+        "events_fired": stats.events_fired,
+        "events_scheduled": stats.events_scheduled,
+        "events_cancelled": stats.events_cancelled,
+        "peak_queue_size": stats.peak_queue_size,
+        "compactions": stats.compactions,
         "digest": digest.hexdigest(),
     }
 

@@ -126,6 +126,15 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match="freq_ghz must be a number"):
             SearchSpec(freq_ghz=True)
 
+    @pytest.mark.parametrize("name", ["freq_ghz", "units_per_ghz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_cost_model_field_must_be_finite(self, name, value):
+        # A NaN frequency ran and reported NaN simulated seconds, and an
+        # infinite rate 0.0: neither may reach a run or a store.
+        document = {"workload": "leftmove", "level": 1, name: value}
+        with pytest.raises(ValueError, match=f"malformed SearchSpec: {name} must be finite"):
+            SearchSpec.from_dict(document)
+
 
 class TestWireForms:
     """to_dict/from_dict of RunReport and RunEvent — the service wire encoding."""

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Engine, SearchSpec
+from repro.api import Engine, SearchSpec, build_cluster, parallel_config
 from repro.cluster.network import NetworkModel
 from repro.cluster.topology import single_machine
+from repro.cluster.trace import Trace
 from repro.parallel.config import DispatcherKind, ParallelConfig
 from repro.parallel.driver import run_parallel_nmcs
 from repro.workloads import get_workload
@@ -46,7 +47,7 @@ class TestSeedEquivalence:
         assert report.score == record["score"]  # bit-identical, no tolerance
         assert [repr(move) for move in report.sequence] == record["sequence"]
         assert report.work_units == record["work_units"]
-        assert len(report.raw.trace.messages) == record["n_messages"]
+        assert sum(report.raw.trace.payload_counts().values()) == record["n_messages"]
         # Completion instants are solved once from exact work targets instead
         # of accumulated by repeated subtraction, so timings may differ from
         # the seed kernel in the last float digits — and only there.
@@ -55,13 +56,20 @@ class TestSeedEquivalence:
         )
 
     def test_runs_are_bit_identical(self):
-        """Two runs of one scenario produce exactly equal traces."""
+        """Two runs of one scenario produce exactly equal traces, message logs included."""
         spec = SearchSpec(
             workload="leftmove", backend="sim-cluster", dispatcher="lm",
             n_clients=4, n_medians=4,
         )
-        first = Engine().run(spec).raw
-        second = Engine().run(spec).raw
+
+        def recorded():
+            return run_parallel_nmcs(
+                get_workload("leftmove").state(), parallel_config(spec, 2), build_cluster(spec),
+                trace=Trace(),
+            )
+
+        first, second = recorded(), recorded()
+        assert first.trace.messages
         assert first.trace.messages == second.trace.messages
         assert first.trace.computes == second.trace.computes
         assert first.simulated_seconds == second.simulated_seconds

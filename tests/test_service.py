@@ -677,6 +677,16 @@ NOT_THEIR_TYPE = {
     "cluster-int": ({**_SIM_LEFTMOVE, "cluster": 5}, "cluster must be a string"),
     "freq_ghz-bool": ({**_LEFTMOVE, "freq_ghz": True}, "freq_ghz must be a number"),
     "units_per_ghz-bool": ({**_LEFTMOVE, "units_per_ghz": True}, "units_per_ghz must be a number"),
+    # The request decoder takes JSON's NaN and Infinity; a NaN frequency ran
+    # and reported NaN simulated seconds, an infinite rate 0.0.
+    "freq_ghz-nan": ({**_LEFTMOVE, "freq_ghz": float("nan")}, "freq_ghz must be finite"),
+    "freq_ghz-inf": ({**_LEFTMOVE, "freq_ghz": float("inf")}, "freq_ghz must be finite"),
+    "units_per_ghz-nan": (
+        {**_LEFTMOVE, "units_per_ghz": float("nan")}, "units_per_ghz must be finite"
+    ),
+    "units_per_ghz-inf": (
+        {**_LEFTMOVE, "units_per_ghz": float("inf")}, "units_per_ghz must be finite"
+    ),
 }
 
 

@@ -116,11 +116,23 @@ class TestTrace:
         trace.record_compute("client-0", "n0", 1.0, 2.0, 1.0)
         assert trace.max_concurrency("client") == 1
 
-    def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False)
-        trace.record_message("a", "b", 0, None, 0.0, 0.0, 0.0)
+    def test_a_trace_without_a_log_keeps_tallies_and_computes(self):
+        trace = Trace(log_messages=False)
+        trace.record_message("a", "b", 0, None, 0.0, 0.0, 5.0)
         trace.record_compute("c", "n", 0.0, 1.0, 1.0)
-        assert not trace.messages and not trace.computes
+        assert len(trace.computes) == 1
+        assert trace.payload_counts() == {"NoneType": 1}
+        assert trace.makespan() == 5.0
+        for query in (
+            lambda: trace.messages,
+            lambda: trace.messages_between("a", "b"),
+            lambda: trace.messages_by_type("NoneType"),
+            trace.communication_edges,
+        ):
+            with pytest.raises(ValueError, match="no message log"):
+                query()
+        with pytest.raises(ValueError, match="keeps no messages"):
+            Trace(messages=[], log_messages=False)
 
     def test_clear(self):
         trace = self.make_trace()

@@ -1,19 +1,24 @@
 """Trace tallies: queries read running counts that equal a scan of the records.
 
 :class:`Trace` counts message payload types, and keeps the latest receive
-time, as ``record_message`` appends.  A copy whose record lists were filled
+time, as ``record_message`` sees them.  A copy whose record lists were filled
 by hand has no tallies and answers every query by scanning, so comparing the
-two pins "tally == scan" exactly.
+two pins "tally == scan" exactly.  A trace that keeps no message log (what a
+``sim-cluster`` cell records) must answer what a recording trace answers,
+and refuse the queries only a log can answer.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.commpattern import analyze_communications
-from repro.api import Engine, SearchSpec
+from repro.api import Engine, SearchSpec, build_cluster, parallel_config
 from repro.cluster.trace import Trace
+from repro.parallel.driver import run_parallel_nmcs
+from repro.workloads import get_workload
 
 PIDS = ("client-000", "client-001", "client-012", "median-000", "root", "dispatcher", "clientele")
 PREFIXES = ("", "client", "client-0", "client-01", "cli", "median", "root", "r", "d", "x", "c")
@@ -26,6 +31,13 @@ ANY_TIMES = st.one_of(TIMES, st.floats(min_value=0.0, max_value=8.0, allow_nan=F
 def scanned(trace: Trace) -> Trace:
     """The same records in a hand-built trace, which answers by scanning."""
     return Trace(messages=list(trace.messages), computes=list(trace.computes))
+
+
+def recorded_run(spec: SearchSpec):
+    """``spec``'s run with the config and cluster the backend builds, into a recording trace."""
+    workload = get_workload(spec.workload)
+    config = parallel_config(spec, workload.low_level)
+    return run_parallel_nmcs(workload.state(), config, build_cluster(spec), trace=Trace())
 
 
 def answers(trace: Trace) -> dict:
@@ -105,13 +117,52 @@ def test_messages_removed_by_hand_are_not_counted():
     assert trace.makespan() == 2.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(records=RECORDS)
+def test_a_trace_without_a_log_answers_from_its_tallies(records):
+    recording, tallied = Trace(), Trace(log_messages=False)
+    record_all(recording, records)
+    record_all(tallied, records)
+    assert answers(tallied) == answers(recording)
+    assert analyze_communications(tallied) == analyze_communications(recording)
+    for query in (
+        lambda trace: trace.messages,
+        lambda trace: trace.messages_between("", ""),
+        lambda trace: trace.messages_by_type("int"),
+        Trace.communication_edges,
+    ):
+        with pytest.raises(ValueError, match="no message log"):
+            query(tallied)
+
+
 def test_simulated_run_summary_equals_the_scan():
-    report = Engine().run(SearchSpec(
+    run = recorded_run(SearchSpec(
         workload="leftmove", backend="sim-cluster", dispatcher="lm", n_clients=8, n_medians=4,
     ))
-    trace = report.raw.trace
+    trace = run.trace
+    assert trace.messages
     assert answers(trace) == answers(scanned(trace))
     assert analyze_communications(trace) == analyze_communications(scanned(trace))
-    assert report.n_jobs == len(trace.computes_by_process("client"))
-    assert report.work_units == sum(c.work for c in trace.computes_by_process("client"))
-    assert report.comm == analyze_communications(scanned(trace)).counts
+    assert run.n_jobs == len(trace.computes_by_process("client"))
+    assert run.total_client_work == sum(c.work for c in trace.computes_by_process("client"))
+
+
+def _without_wall_time(stats: dict) -> dict:
+    return {k: v for k, v in stats.items() if not k.startswith("wall_seconds")}
+
+
+@pytest.mark.parametrize("dispatcher", ["rr", "lm"])
+def test_an_engine_cell_keeps_no_log_and_reports_what_a_recorded_run_does(dispatcher):
+    spec = SearchSpec(
+        workload="leftmove", backend="sim-cluster", dispatcher=dispatcher, n_clients=8, n_medians=4,
+    )
+    report = Engine().run(spec)
+    with pytest.raises(ValueError, match="no message log"):
+        report.raw.trace.messages
+    run = recorded_run(spec)
+    assert report.comm == analyze_communications(scanned(run.trace)).counts
+    assert report.n_jobs == run.n_jobs
+    assert report.work_units == run.total_client_work
+    assert report.simulated_seconds == run.simulated_seconds
+    assert report.client_utilisation == run.client_utilisation()
+    assert _without_wall_time(report.kernel_stats) == _without_wall_time(run.kernel_stats.to_dict())
